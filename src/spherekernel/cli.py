@@ -175,15 +175,7 @@ def cmd_transform(parser, args) -> int:
     else:
         if args.max_index < 0:
             parser.error(f"--max-index: must be nonnegative, got {args.max_index}")
-        per_tol = tol / (4.0 * (args.max_index + 1))
-        seq = transform.CircleSequence(
-            tuple(
-                transform.circle_coefficient(model, n, per_tol)
-                for n in range(args.max_index + 1)
-            ),
-            args.max_index,
-            per_tol,
-        )
+        seq = transform.circle_sequence_to(model, args.max_index, tol)
     if args.format == "csv":
         lines = ["n,value"] + [f"{n},{v!r}" for n, v in enumerate(seq.terms)]
         _emit("\n".join(lines) + "\n", args.output)

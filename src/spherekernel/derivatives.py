@@ -50,11 +50,8 @@ class DerivTable:
 
     def level(self, order: int) -> list[tuple[tuple[int, int], int]]:
         """Cells with n1 + n2 == order, ordered by increasing n2."""
-        return sorted(
-            ((pair, value) for pair, value in self.cells.items()
-             if pair[0] + pair[1] == order),
-            key=lambda item: item[0][1],
-        )
+        pairs = ((order - n2, n2) for n2 in range(order // 2 + 1))
+        return [(pair, self.cells[pair]) for pair in pairs if pair in self.cells]
 
 
 def build_deriv_table(power: int, max_order: int) -> DerivTable:

@@ -22,12 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DimensionMismatch
-from .sequences import (
-    SequenceModel,
-    term,
-    total_mass_bound,
-    truncation_index,
-)
+from .sequences import SequenceModel, coefficient_prefix, total_mass_bound
 
 
 @dataclass(frozen=True)
@@ -86,25 +81,35 @@ def gegenbauer_normalized(k: int, lam: float, t: float) -> float:
     t = max(-1.0, min(1.0, t))
     if lam == 0.0:
         return math.cos(k * math.acos(t))
-    if k == 0:
-        return 1.0
-    # run the recurrence at t and at 1 simultaneously; the normalizer at 1
-    # equals binomial(k + 2 lam - 1, k) and stays positive
+    return _gegenbauer_sum((0.0,) * k + (1.0,), lam, t)
+
+
+def _gegenbauer_sum(coeffs, lam: float, t: float) -> float:
+    """sum_k coeffs[k] * C_k^lam(t) / C_k^lam(1) for lam > 0.
+
+    Runs the three-term recurrence at t and at 1 simultaneously; the
+    normalizer at 1 equals binomial(k + 2 lam - 1, k) and stays positive.
+    """
+    if not coeffs:
+        return 0.0
+    total = coeffs[0]
+    if len(coeffs) == 1:
+        return total
     c_prev, c_cur = 1.0, 2.0 * lam * t
     n_prev, n_cur = 1.0, 2.0 * lam
-    for kk in range(2, k + 1):
-        c_next = (2.0 * t * (kk + lam - 1.0) * c_cur - (kk + 2.0 * lam - 2.0) * c_prev) / kk
-        n_next = (2.0 * (kk + lam - 1.0) * n_cur - (kk + 2.0 * lam - 2.0) * n_prev) / kk
+    total += coeffs[1] * (c_cur / n_cur)
+    for k in range(2, len(coeffs)):
+        c_next = (2.0 * t * (k + lam - 1.0) * c_cur - (k + 2.0 * lam - 2.0) * c_prev) / k
+        n_next = (2.0 * (k + lam - 1.0) * n_cur - (k + 2.0 * lam - 2.0) * n_prev) / k
         c_prev, c_cur = c_cur, c_next
         n_prev, n_cur = n_cur, n_next
-    return c_cur / n_cur
+        if coeffs[k]:
+            total += coeffs[k] * (c_cur / n_cur)
+    return total
 
 
-@lru_cache(maxsize=128)
-def _coefficient_prefix(model: SequenceModel, tol: float) -> tuple[float, ...]:
-    # coefficients up to a certified truncation point for the plain sum
-    cutoff = truncation_index(model, 0, tol)
-    return tuple(term(model, m) for m in range(cutoff))
+# kernels are evaluated at many angles with one (model, tol), so keep the prefix
+_coefficient_prefix = lru_cache(maxsize=128)(coefficient_prefix)
 
 
 def _as_model(spec) -> SequenceModel:
@@ -135,27 +140,9 @@ def phi_eval_d(spec: KernelSpec, theta: float, tol: float = 1e-10) -> float:
     if not isinstance(spec, KernelSpec) or spec.dimension is None:
         raise ValueError("phi_eval_d needs a KernelSpec with a finite dimension")
     coeffs = _coefficient_prefix(spec.coefficients, tol)
-    if not coeffs:
-        return 0.0
-    d = spec.dimension
-    if d == 1:
+    if spec.dimension == 1:
         return math.fsum(a * math.cos(k * theta) for k, a in enumerate(coeffs))
-    lam = spec.lam
-    t = math.cos(theta)
-    total = coeffs[0]
-    if len(coeffs) == 1:
-        return total
-    c_prev, c_cur = 1.0, 2.0 * lam * t
-    n_prev, n_cur = 1.0, 2.0 * lam
-    total += coeffs[1] * (c_cur / n_cur)
-    for k in range(2, len(coeffs)):
-        c_next = (2.0 * t * (k + lam - 1.0) * c_cur - (k + 2.0 * lam - 2.0) * c_prev) / k
-        n_next = (2.0 * (k + lam - 1.0) * n_cur - (k + 2.0 * lam - 2.0) * n_prev) / k
-        c_prev, c_cur = c_cur, c_next
-        n_prev, n_cur = n_cur, n_next
-        if coeffs[k]:
-            total += coeffs[k] * (c_cur / n_cur)
-    return total
+    return _gegenbauer_sum(coeffs, spec.lam, math.cos(theta))
 
 
 def phi_eval(spec: KernelSpec, theta: float, tol: float = 1e-10) -> float:

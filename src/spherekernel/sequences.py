@@ -23,6 +23,12 @@ from .errors import DivergentSeries, ToleranceUnreachable
 _SEARCH_CAP = 1 << 26
 
 
+def _require_finite(*fields: float) -> None:
+    for field in fields:
+        if not math.isfinite(field):
+            raise ValueError(f"model fields must be finite, got {field}")
+
+
 @dataclass(frozen=True)
 class Finite:
     """a_m = terms[m] for m < len(terms), 0 beyond."""
@@ -31,6 +37,7 @@ class Finite:
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(float(t) for t in self.terms))
+        _require_finite(*self.terms)
         if any(t < 0.0 for t in self.terms):
             raise ValueError("finite sequence terms must be nonnegative")
 
@@ -43,6 +50,7 @@ class Geometric:
     r: float
 
     def __post_init__(self):
+        _require_finite(self.c, self.r)
         if self.c < 0.0:
             raise ValueError(f"scale must be nonnegative, got {self.c}")
         if not 0.0 <= self.r < 1.0:
@@ -57,6 +65,7 @@ class PowerLaw:
     p: float
 
     def __post_init__(self):
+        _require_finite(self.C, self.p)
         if self.C < 0.0:
             raise ValueError(f"scale must be nonnegative, got {self.C}")
         if not self.p > 1.0:
@@ -70,6 +79,7 @@ class PoissonType:
     c: float
 
     def __post_init__(self):
+        _require_finite(self.c)
         if self.c < 0.0:
             raise ValueError(f"intensity must be nonnegative, got {self.c}")
 
@@ -101,8 +111,11 @@ def term(model: SequenceModel, m: int) -> float:
         if c == 0.0:
             return 1.0 if m == 0 else 0.0
         if m <= 64:
-            return math.exp(-c) * c ** m / math.factorial(m)
-        # log-domain form avoids overflow in c**m for large m
+            try:
+                return math.exp(-c) * c ** m / math.factorial(m)
+            except OverflowError:
+                pass
+        # log-domain form avoids overflow in c**m for large m or c
         return math.exp(-c + m * math.log(c) - math.lgamma(m + 1))
     raise TypeError(f"not a sequence model: {model!r}")
 
@@ -212,6 +225,11 @@ def truncation_index(model: SequenceModel, ell: int, tol: float) -> int:
     return hi
 
 
+def coefficient_prefix(model: SequenceModel, tol: float) -> tuple[float, ...]:
+    """a_0 .. a_{M-1}, with M the certified cutoff of the plain sum at tol."""
+    return tuple(term(model, m) for m in range(truncation_index(model, 0, tol)))
+
+
 # ---------------------------------------------------------------------------
 # JSON encoding, consumed by the CLI
 
@@ -243,6 +261,8 @@ def model_from_dict(data: dict) -> SequenceModel:
             return PoissonType(float(data["c"]))
     except KeyError as exc:
         raise ValueError(f"model variant '{variant}' is missing field {exc}") from exc
+    except OverflowError as exc:
+        raise ValueError(f"model fields must be finite: {exc}") from exc
     raise ValueError(f"unknown sequence model variant '{variant}'")
 
 

@@ -4,15 +4,14 @@ Expanding each cosine power over multiple angles turns the power series
 sum_m a_m cos^m(theta) into a cosine series sum_n b_n cos(n theta) whose
 coefficients mix binomial slices of (a_m):
 
-    b_0      = sum_{j>=0} 2^(-2j)   a_{2j}   C(2j, j)
-    b_{2t}   = sum_{j>=t} 2^(-2j+1) a_{2j}   C(2j, j+t)        t >= 1
-    b_{2t-1} = sum_{j>=t} 2^(-2j+2) a_{2j-1} C(2j-1, j+t-1)    t >= 1
+    b_n = eps_n * sum_{m >= n, m = n mod 2} 2^(1-m) C(m, (m+n)/2) a_m
 
-The prefactors come from the multiple-angle identities for cos^(2j) and
-cos^(2j-1); the central term of the even identity carries no doubling
-factor, which fixes the b_0 case.  All b_n are nonnegative, their total
-equals the total of (a_m), and each series term is at most twice its
-a-coefficient, so certified tails of the input model bound truncation.
+with eps_0 = 1/2 and eps_n = 1 otherwise.  The prefactor comes from the
+multiple-angle identity for cos^m; its central term (n = 0, even m)
+carries no doubling factor, which is eps_0.  All b_n are nonnegative,
+their total equals the total of (a_m), and each series term is at most
+twice its a-coefficient, so certified tails of the input model bound
+truncation.
 
 Smoothness classification reads decay instead: the even derivative
 phi^(2 ell)(0) exists exactly when sum_m a_m m^ell converges (weight
@@ -34,6 +33,7 @@ from .sequences import (
     Finite,
     PowerLaw,
     SequenceModel,
+    coefficient_prefix,
     converges_weighted,
     term,
     truncation_index,
@@ -56,46 +56,31 @@ def _scaled_binomial(n: int, k: int, log2_scale: int) -> float:
 def circle_coefficient(model: SequenceModel, n: int, tol: float = 1e-12) -> float:
     """Coefficient b_n of the rebuilt cosine series, truncated within tol.
 
-    Finite models are summed exactly; parametric models stop once twice
-    the certified remaining coefficient mass drops below tol.
+    Finite models are summed exactly; parametric models drop the terms
+    beyond the certified cutoff of the plain sum at tol/2, since each
+    series term is at most twice its a-coefficient.
     """
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
+    return _circle_coefficient(_circle_prefix(model, tol), n)
+
+
+def _circle_prefix(model: SequenceModel, tol: float) -> tuple[float, ...]:
+    # the a_m that every b_n within tol needs: all of a Finite model, else
+    # the certified prefix of the plain sum
     if tol <= 0.0:
         raise ToleranceUnreachable(f"tolerance must be positive, got {tol}")
-
-    if n == 0:
-        j_start, to_m = 0, lambda j: 2 * j
-        weight = lambda j: _scaled_binomial(2 * j, j, -2 * j)
-    elif n % 2 == 0:
-        t = n // 2
-        j_start, to_m = t, lambda j: 2 * j
-        weight = lambda j: _scaled_binomial(2 * j, j + t, -2 * j + 1)
-    else:
-        t = (n + 1) // 2
-        j_start, to_m = t, lambda j: 2 * j - 1
-        weight = lambda j: _scaled_binomial(2 * j - 1, j + t - 1, -2 * j + 2)
-
     if isinstance(model, Finite):
-        j_stop = len(model.terms) // 2 + 1
-        return math.fsum(
-            term(model, to_m(j)) * weight(j)
-            for j in range(j_start, j_stop + 1)
-            if to_m(j) < len(model.terms) and model.terms[to_m(j)]
-        )
+        return model.terms
+    return coefficient_prefix(model, tol / 2.0)
 
-    pieces = []
-    j = j_start
-    while weighted_tail_bound(model, to_m(j), 0).bound * 2.0 > tol:
-        a = term(model, to_m(j))
-        if a:
-            pieces.append(a * weight(j))
-        j += 1
-        if to_m(j) > (1 << 26):
-            raise ToleranceUnreachable(
-                f"coefficient {n} did not reach tolerance {tol} for {model!r}"
-            )
-    return math.fsum(pieces)
+
+def _circle_coefficient(coeffs: tuple[float, ...], n: int) -> float:
+    return math.fsum(
+        a * _scaled_binomial(m, (m + n) // 2, 1 - m - (n == 0))
+        for m, a in zip(range(n, len(coeffs), 2), coeffs[n::2])
+        if a
+    )
 
 
 @dataclass(frozen=True)
@@ -118,13 +103,13 @@ def circle_sequence(
     """
     if tol <= 0.0:
         raise ToleranceUnreachable(f"tolerance must be positive, got {tol}")
-    cutoff = truncation_index(model, 0, tol / 4.0)
-    mass_upper = math.fsum(term(model, m) for m in range(cutoff)) + tol / 4.0
+    mass_upper = math.fsum(coefficient_prefix(model, tol / 4.0)) + tol / 4.0
     per_tol = tol / 1000.0
+    coeffs = _circle_prefix(model, per_tol)
     terms: list[float] = []
     partial = 0.0
     for n in range(max_terms + 1):
-        b = circle_coefficient(model, n, per_tol)
+        b = _circle_coefficient(coeffs, n)
         terms.append(b)
         partial += b
         if mass_upper - partial + 2.0 * (n + 1) * per_tol <= tol:
@@ -133,6 +118,16 @@ def circle_sequence(
         f"circle sequence did not capture the mass of {model!r} within "
         f"{max_terms} terms at tolerance {tol}"
     )
+
+
+def circle_sequence_to(
+    model: SequenceModel, max_index: int, tol: float = 1e-10
+) -> CircleSequence:
+    """Compute b_0..b_max_index, each within tol / (4 (max_index + 1))."""
+    per_tol = tol / (4.0 * (max_index + 1))
+    coeffs = _circle_prefix(model, per_tol)
+    terms = tuple(_circle_coefficient(coeffs, n) for n in range(max_index + 1))
+    return CircleSequence(terms, max_index, per_tol)
 
 
 def reconstruct_error(
@@ -146,8 +141,7 @@ def reconstruct_error(
     Compares sum_{n<=max_index} b_n cos(n theta) against the direct
     Hilbert-sphere evaluation over the given angles.
     """
-    per_tol = tol / (4.0 * (max_index + 1))
-    coeffs = [circle_coefficient(model, n, per_tol) for n in range(max_index + 1)]
+    coeffs = circle_sequence_to(model, max_index, tol).terms
     worst = 0.0
     for theta in theta_samples:
         rebuilt = math.fsum(b * math.cos(n * theta) for n, b in enumerate(coeffs))

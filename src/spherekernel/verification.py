@@ -80,11 +80,11 @@ def series_difference_from_zero(
     differencing direct evaluations loses the leading digits to
     cancellation at steps small enough for stencil accuracy.
     """
-    cutoff = sequences.truncation_index(model, 0, tol)
+    coeffs = sequences.coefficient_prefix(model, tol)
     versine = 2.0 * math.sin(0.5 * theta) ** 2
     log_u = math.log1p(-versine)
     return math.fsum(
-        sequences.term(model, m) * math.expm1(m * log_u) for m in range(1, cutoff)
+        a * math.expm1(m * log_u) for m, a in enumerate(coeffs[1:], start=1)
     )
 
 

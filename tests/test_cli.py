@@ -182,6 +182,26 @@ def test_usage_error_exit_code(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        '{"variant":"geometric","c":NaN,"r":0.5}',
+        '{"variant":"powerlaw","C":1,"p":Infinity}',
+        '{"variant":"poisson","c":1' + "0" * 400 + "}",
+    ],
+    ids=["nan", "infinity", "huge-integer"],
+)
+def test_non_finite_model_field_is_usage_error(capsys, model):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--sphere", "inf", "--theta", "0", "--model", model])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "UsageError"
+
+
 def test_env_var_overrides_default_tolerance(capsys, monkeypatch):
     monkeypatch.setenv("SPHEREKERNEL_TOL", "1e-4")
     code, out, _ = run_cli(

@@ -70,6 +70,32 @@ def test_parameter_validation():
         Finite((1.0, -0.5))
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Finite((1.0, math.nan)),
+        lambda: Finite((math.inf,)),
+        lambda: Geometric(math.nan, 0.5),
+        lambda: Geometric(math.inf, 0.5),
+        lambda: PowerLaw(math.nan, 3.5),
+        lambda: PowerLaw(1.0, math.inf),
+        lambda: PoissonType(math.nan),
+        lambda: PoissonType(math.inf),
+    ],
+)
+def test_non_finite_fields_rejected(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
+def test_poisson_term_switches_to_log_domain_on_overflow():
+    # 1e5 ** 64 overflows a float; the log-domain form underflows to 0 instead
+    c = 1e5
+    assert term(PoissonType(c), 64) == math.exp(-c + 64 * math.log(c) - math.lgamma(65))
+    # below the overflow the direct product is kept bit for bit
+    assert term(PoissonType(700.0), 64) == math.exp(-700.0) * 700.0 ** 64 / math.factorial(64)
+
+
 def test_geometric_closed_form_bound_is_tight():
     bound = weighted_tail_bound(Geometric(1.0, 0.5), 0, 0).bound
     assert 2.0 <= bound <= 2.0 + 1e-12

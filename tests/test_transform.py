@@ -7,8 +7,17 @@ from spherekernel.asymptotics import build_leading_table
 from spherekernel.derivatives import diagonal_closed_form
 from spherekernel.errors import DivergentSeries, ToleranceUnreachable
 from spherekernel.kernels import phi_eval_inf
-from spherekernel.sequences import Finite, Geometric, PoissonType, PowerLaw
+from spherekernel.sequences import (
+    Finite,
+    Geometric,
+    PoissonType,
+    PowerLaw,
+    term,
+    truncation_index,
+    weighted_tail_bound,
+)
 from spherekernel.transform import (
+    _scaled_binomial,
     circle_coefficient,
     circle_sequence,
     classify_d,
@@ -48,6 +57,59 @@ def test_circle_coefficient_validation():
         circle_coefficient(Finite((1.0,)), -1)
     with pytest.raises(ToleranceUnreachable):
         circle_coefficient(Geometric(1.0, 0.5), 0, 0.0)
+
+
+def _reference_circle_coefficient(model, n, tol):
+    # the three-case form of the identity, stepping until twice the
+    # certified tail of the next term drops below tol
+    if n == 0:
+        j_start, to_m = 0, lambda j: 2 * j
+        weight = lambda j: _scaled_binomial(2 * j, j, -2 * j)
+    elif n % 2 == 0:
+        t = n // 2
+        j_start, to_m = t, lambda j: 2 * j
+        weight = lambda j: _scaled_binomial(2 * j, j + t, -2 * j + 1)
+    else:
+        t = (n + 1) // 2
+        j_start, to_m = t, lambda j: 2 * j - 1
+        weight = lambda j: _scaled_binomial(2 * j - 1, j + t - 1, -2 * j + 2)
+    if isinstance(model, Finite):
+        return math.fsum(
+            model.terms[to_m(j)] * weight(j)
+            for j in range(j_start, len(model.terms) // 2 + 2)
+            if to_m(j) < len(model.terms) and model.terms[to_m(j)]
+        )
+    pieces = []
+    j = j_start
+    while weighted_tail_bound(model, to_m(j), 0).bound * 2.0 > tol:
+        a = term(model, to_m(j))
+        if a:
+            pieces.append(a * weight(j))
+        j += 1
+    return math.fsum(pieces)
+
+
+REFERENCE_MODELS = (
+    [Geometric(1.0, r) for r in (0.5, 0.9, 0.99)]
+    + [PoissonType(c) for c in (0.5, 2.0, 50.0)]
+    + [PowerLaw(1.0, p) for p in (3.5, 4.5, 7.0)]
+    + [Finite((1.0, 1e-13, 0.0, 3e-14))]
+)
+
+
+@pytest.mark.parametrize("model", REFERENCE_MODELS)
+def test_circle_coefficient_equals_stepping_reference(model):
+    for tol in (1e-5, 1e-10, 1e-12):
+        if isinstance(model, Finite):
+            cutoff = len(model.terms)
+        else:
+            cutoff = truncation_index(model, 0, tol / 2.0)
+        # both ends of the range plus a few interior indices of either parity
+        ns = set(range(4)) | set(range(max(cutoff - 2, 0), cutoff + 3))
+        ns |= {cutoff * i // 5 + i % 2 for i in range(1, 5)}
+        for n in sorted(ns):
+            want = _reference_circle_coefficient(model, n, tol)
+            assert circle_coefficient(model, n, tol) == want, (model, tol, n)
 
 
 def test_monomial_reconstruction_is_exact():
