@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import UnsupportedRange
 from .exact import binomial, falling_factorial
@@ -210,6 +211,38 @@ def diagonal_closed_form(power: int, ell: int) -> Fraction:
         binomial(2 * j - 1, k) * (2 * j - 2 * k - 1) ** (2 * ell) for k in range(j)
     )
     return Fraction(num, 2 ** (2 * j - 2))
+
+
+@lru_cache(maxsize=32)
+def _diagonal_polynomial(ell: int) -> tuple[int, ...]:
+    """Integer coefficients c_0..c_ell with diag(m, ell) = sum_k c_k m^k.
+
+    diag(m, ell) = diagonal_closed_form(m, ell)
+                 = 2^(-m) sum_k C(m, k) (m - 2k)^(2 ell)
+    is the (2 ell)-th moment of a sum of m independent random signs, an
+    integer polynomial in m of degree ell with c_0 = 0 and leading
+    coefficient (2 ell - 1)!!.  It is interpolated exactly through
+    m = 0..ell in Newton forward-difference form,
+
+        diag(m, ell) = sum_k Delta^k diag(0, ell) * C(m, k),
+
+    and expanded in powers of m.
+    """
+    values = [0] + [int(diagonal_closed_form(m, ell)) for m in range(1, ell + 1)]
+    diffs = []
+    while values:
+        diffs.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    # nested form d_0 + m/1 (d_1 + (m-1)/2 (d_2 + ...)), innermost first
+    poly = [Fraction(diffs[-1])]
+    for k in range(ell - 1, -1, -1):
+        poly = [
+            (low - k * high) / (k + 1)
+            for low, high in zip([Fraction(0)] + poly, poly + [Fraction(0)])
+        ]
+        poly[0] += diffs[k]
+    assert all(c.denominator == 1 for c in poly), poly
+    return tuple(int(c) for c in poly)
 
 
 def derivative_at_zero(power: int, order: int) -> Fraction:

@@ -29,6 +29,17 @@ def _require_finite(*fields: float) -> None:
             raise ValueError(f"model fields must be finite, got {field}")
 
 
+def _require_finite_mass(model: SequenceModel) -> None:
+    # finite fields can still certify a total beyond float range (c = 1e308);
+    # PoissonType needs no check, its mass is at most 1
+    try:
+        mass = total_mass_bound(model)
+    except OverflowError:
+        mass = math.inf
+    if not math.isfinite(mass):
+        raise ValueError(f"model total mass must be finite, got {mass} for {model!r}")
+
+
 @dataclass(frozen=True)
 class Finite:
     """a_m = terms[m] for m < len(terms), 0 beyond."""
@@ -40,6 +51,7 @@ class Finite:
         _require_finite(*self.terms)
         if any(t < 0.0 for t in self.terms):
             raise ValueError("finite sequence terms must be nonnegative")
+        _require_finite_mass(self)
 
 
 @dataclass(frozen=True)
@@ -55,6 +67,7 @@ class Geometric:
             raise ValueError(f"scale must be nonnegative, got {self.c}")
         if not 0.0 <= self.r < 1.0:
             raise ValueError(f"ratio must lie in [0, 1), got {self.r}")
+        _require_finite_mass(self)
 
 
 @dataclass(frozen=True)
@@ -70,6 +83,7 @@ class PowerLaw:
             raise ValueError(f"scale must be nonnegative, got {self.C}")
         if not self.p > 1.0:
             raise ValueError(f"exponent must exceed 1 for summability, got {self.p}")
+        _require_finite_mass(self)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .asymptotics import build_leading_table
-from .derivatives import diagonal_closed_form
+from .derivatives import _diagonal_polynomial
 from .errors import DivergentSeries, ToleranceUnreachable
 from .exact import binomial, log_binomial
 from .kernels import phi_eval_inf
@@ -124,6 +124,8 @@ def circle_sequence_to(
     model: SequenceModel, max_index: int, tol: float = 1e-10
 ) -> CircleSequence:
     """Compute b_0..b_max_index, each within tol / (4 (max_index + 1))."""
+    if max_index < 0:
+        raise ValueError(f"max index must be nonnegative, got {max_index}")
     per_tol = tol / (4.0 * (max_index + 1))
     coeffs = _circle_prefix(model, per_tol)
     terms = tuple(_circle_coefficient(coeffs, n) for n in range(max_index + 1))
@@ -225,9 +227,11 @@ def derivative_at_zero_series(
     """phi^(2 ell)(0) as the termwise sum of cosine-power derivatives.
 
     Each term contributes a_m * (-1)^ell * diag(m, ell) where diag is the
-    closed-form diagonal magnitude.  diag(m, ell) <= g[ell, ell] * m^ell
-    with g the diagonal growth coefficient, so a certified weighted tail
-    bound scaled by g[ell, ell] controls truncation.
+    diagonal magnitude, evaluated exactly from its moment polynomial (an
+    integer polynomial of degree ell in m), so M terms cost O(M * ell).
+    diag(m, ell) <= g[ell, ell] * m^ell with g the diagonal growth
+    coefficient, so a certified weighted tail bound scaled by g[ell, ell]
+    controls truncation.
     """
     if ell < 1:
         raise ValueError(f"ell must be positive, got {ell}")
@@ -238,9 +242,14 @@ def derivative_at_zero_series(
         )
     growth = build_leading_table(ell).cell(ell, ell)
     cutoff = truncation_index(model, ell, tol / growth)
-    total = math.fsum(
-        term(model, m) * float(diagonal_closed_form(m, ell))
-        for m in range(1, cutoff)
-        if term(model, m)
-    )
+    highest_first = _diagonal_polynomial(ell)[::-1]
+
+    def diag(m: int) -> int:
+        value = 0
+        for c in highest_first:
+            value = value * m + c
+        return value
+
+    coeffs = ((m, term(model, m)) for m in range(1, cutoff))
+    total = math.fsum(a * float(diag(m)) for m, a in coeffs if a)
     return (-1) ** ell * total

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,18 @@ def test_leading_diagonal_is_double_factorial():
     for n in range(1, 11):
         value *= 2 * n - 1
         assert table.cell(n, n) == value
+
+
+def test_leading_table_matches_bessel_closed_form():
+    # independent oracle: g[n1, n2] = (n1 + n2)! / (2^n2 n2! (n1 - n2)!),
+    # the Bessel polynomial coefficients (OEIS A001498)
+    table = build_leading_table(40)
+    for n1 in range(0, 41):
+        for n2 in range(0, n1 + 1):
+            num = math.factorial(n1 + n2)
+            den = 2 ** n2 * math.factorial(n2) * math.factorial(n1 - n2)
+            assert num % den == 0
+            assert table.cell(n1, n2) == num // den, (n1, n2)
 
 
 def test_leading_table_entries_positive():

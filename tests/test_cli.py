@@ -188,8 +188,9 @@ def test_usage_error_exit_code(capsys):
         '{"variant":"geometric","c":NaN,"r":0.5}',
         '{"variant":"powerlaw","C":1,"p":Infinity}',
         '{"variant":"poisson","c":1' + "0" * 400 + "}",
+        '{"variant":"geometric","c":1e308,"r":0.5}',
     ],
-    ids=["nan", "infinity", "huge-integer"],
+    ids=["nan", "infinity", "huge-integer", "overflowing-mass"],
 )
 def test_non_finite_model_field_is_usage_error(capsys, model):
     with pytest.raises(SystemExit) as exc:

@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spherekernel.asymptotics import build_leading_table
 from spherekernel.derivatives import (
     SinCosPoly,
+    _diagonal_polynomial,
     build_deriv_table,
     cos_power_derivative,
     derivative_at_zero,
@@ -146,6 +148,26 @@ def test_diagonal_closed_form_matches_table_cells():
         table = build_deriv_table(power, power - 1)
         for ell in range(1, (power - 1) // 2 + 1):
             assert Fraction(table.cell(ell, ell)) == diagonal_closed_form(power, ell)
+
+
+def test_diagonal_polynomial_matches_closed_form():
+    for ell in range(1, 9):
+        coeffs = _diagonal_polynomial(ell)
+        assert len(coeffs) == ell + 1 and coeffs[0] == 0
+        assert all(isinstance(c, int) for c in coeffs)
+        for m in range(1, 301):
+            value = sum(c * m ** k for k, c in enumerate(coeffs))
+            assert value == diagonal_closed_form(m, ell), (ell, m)
+
+
+def test_diagonal_polynomial_leading_coefficient_is_growth_constant():
+    # the constant derivative_at_zero_series scales its cutoff by:
+    # diag(m, ell) ~ g[ell, ell] m^ell with g[ell, ell] = (2 ell - 1)!!
+    table = build_leading_table(8)
+    for ell in range(1, 9):
+        leading = _diagonal_polynomial(ell)[ell]
+        assert leading == table.cell(ell, ell)
+        assert leading == math.prod(range(1, 2 * ell, 2))
 
 
 def test_derivative_at_zero():

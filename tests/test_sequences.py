@@ -88,6 +88,25 @@ def test_non_finite_fields_rejected(make):
         make()
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Geometric(1e308, 0.5),
+        lambda: PowerLaw(1.7e308, 3.5),
+        lambda: Finite((1e308, 1e308)),
+    ],
+    ids=["geometric", "powerlaw", "finite"],
+)
+def test_overflowing_total_mass_rejected(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
+def test_largest_finite_mass_accepted():
+    assert total_mass_bound(Geometric(1e308, 0.4)) < math.inf
+    assert total_mass_bound(Finite((1e308, 7e307))) < math.inf
+
+
 def test_poisson_term_switches_to_log_domain_on_overflow():
     # 1e5 ** 64 overflows a float; the log-domain form underflows to 0 instead
     c = 1e5

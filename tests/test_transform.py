@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+import spherekernel.derivatives as derivatives
+import spherekernel.transform as transform
 from spherekernel.asymptotics import build_leading_table
-from spherekernel.derivatives import diagonal_closed_form
+from spherekernel.derivatives import _diagonal_polynomial, diagonal_closed_form
 from spherekernel.errors import DivergentSeries, ToleranceUnreachable
 from spherekernel.kernels import phi_eval_inf
 from spherekernel.sequences import (
@@ -20,6 +22,7 @@ from spherekernel.transform import (
     _scaled_binomial,
     circle_coefficient,
     circle_sequence,
+    circle_sequence_to,
     classify_d,
     classify_inf,
     derivative_at_zero_series,
@@ -110,6 +113,15 @@ def test_circle_coefficient_equals_stepping_reference(model):
         for n in sorted(ns):
             want = _reference_circle_coefficient(model, n, tol)
             assert circle_coefficient(model, n, tol) == want, (model, tol, n)
+
+
+@pytest.mark.parametrize("max_index", [-1, -2])
+def test_negative_max_index_rejected(max_index):
+    model = Geometric(1.0, 0.5)
+    with pytest.raises(ValueError, match="max index"):
+        circle_sequence_to(model, max_index)
+    with pytest.raises(ValueError, match="max index"):
+        reconstruct_error(model, THETAS, max_index)
 
 
 def test_monomial_reconstruction_is_exact():
@@ -228,3 +240,52 @@ def test_diagonal_growth_domination():
         cap = table.cell(ell, ell)
         for m in range(1, 80):
             assert diagonal_closed_form(m, ell) <= cap * Fraction(m) ** ell
+
+
+def _reference_derivative_series(model, ell, tol):
+    # reference: one big-integer closed-form sum for every term
+    growth = build_leading_table(ell).cell(ell, ell)
+    cutoff = truncation_index(model, ell, tol / growth)
+    total = math.fsum(
+        term(model, m) * float(diagonal_closed_form(m, ell))
+        for m in range(1, cutoff)
+        if term(model, m)
+    )
+    return (-1) ** ell * total
+
+
+SERIES_MODELS = (
+    [Geometric(1.0, 0.5), Geometric(1.0, 0.9), Geometric(0.05, 0.8)]
+    + [PoissonType(2.0), PoissonType(50.0)]
+    + [PowerLaw(1.0, 8.0), PowerLaw(2.0, 9.0)]
+    + [Finite((0.0, 0.5, 0.0, 1e-13, 0.25, 3.0))]
+)
+
+
+@pytest.mark.parametrize("model", SERIES_MODELS)
+def test_derivative_series_equals_closed_form_reference(model):
+    for ell in (1, 2, 3):
+        for tol in (1e-5, 1e-10):
+            want = _reference_derivative_series(model, ell, tol)
+            assert derivative_at_zero_series(model, ell, tol) == want, (ell, tol)
+
+
+def test_derivative_series_builds_polynomial_once(monkeypatch):
+    # the series evaluates diag(m, ell) from one cached polynomial, so a
+    # 7632-term sum asks the closed form only for its ell interpolation
+    # nodes; a per-term call fails at once instead of running for minutes
+    model, ell, tol = PowerLaw(1.0, 3.5), 1, 1e-6
+    calls = []
+    closed_form = derivatives.diagonal_closed_form
+
+    def counted(power, order):
+        calls.append(power)
+        assert len(calls) <= ell, f"diagonal_closed_form called per term, at m = {power}"
+        return closed_form(power, order)
+
+    monkeypatch.setattr(derivatives, "diagonal_closed_form", counted)
+    monkeypatch.setattr(transform, "diagonal_closed_form", counted, raising=False)
+    _diagonal_polynomial.cache_clear()
+    assert truncation_index(model, ell, tol) == 7632
+    derivative_at_zero_series(model, ell, tol)
+    assert len(calls) <= ell
