@@ -15,8 +15,9 @@ The scaled central-binomial sums
 
 grow like j^ell; they tie the diagonal table cells to the smoothness
 classification, and this module measures their convergence empirically.
-Sums are exact rationals up to a crossover power and switch to a
-compensated log-domain float path above it.
+They are diagonal magnitudes, even(j, ell) = diag(2j, ell) and
+4 odd(j, ell) = diag(2j - 1, ell), so every scaled sum is exact until
+its final rounding to a float.
 """
 
 from __future__ import annotations
@@ -25,15 +26,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .derivatives import build_deriv_table
+from .derivatives import _diagonal_polynomial, _horner, build_deriv_table
 from .errors import UnsupportedRange
-from .exact import binomial, log_binomial
+from .exact import binomial
 
-# Largest power evaluated in exact rational arithmetic; beyond this the
-# log-domain float path takes over (validated to 1e-9 at the crossover).
-EXACT_CROSSOVER = 200
-
-_LN2 = math.log(2.0)
+# DBL_MAX < 2^1024, so a lower bound above 2^1025 overflows whatever the
+# rounding of its logarithm; (2 ell - 1)!!/4 > DBL_MAX from ell = 151 on
+_LOG2_FLOAT_LIMIT = 1025.0
+_PAIRINGS_OVERFLOW_ELL = 151
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,34 +104,36 @@ def odd_binomial_sum(j: int, ell: int) -> Fraction:
 
 
 def scaled_sum(j: int, ell: int, parity: str) -> float:
-    """sum(j, ell) / j^ell; exact below the crossover, log-domain above."""
+    """sum(j, ell) / j^ell = diag(P, ell) / (s j^ell), rounded once to a float.
+
+    (P, s) = (2j, 1) for even and (2j - 1, 4) for odd.  diag is read off
+    the moment polynomial (ell + 1 terms) for j > ell, else off the
+    defining sum (j terms).  A value beyond float range raises
+    UnsupportedRange, up front where a lower bound shows it: with
+    diag(P, ell) = E[S^(2 ell)] for a sum S of P random signs, Jensen
+    gives (P/j)^ell / s, and for j > ell the matchings of ell distinct
+    signs give (2 ell - 1)!! P!/(P - ell)! / (s j^ell) >= (2 ell - 1)!!/4.
+    """
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    if j <= EXACT_CROSSOVER:
-        exact = even_binomial_sum(j, ell) if parity == "even" else odd_binomial_sum(j, ell)
+    if j < 1 or ell < 1:
+        raise ValueError(f"j and ell must be positive, got j={j}, ell={ell}")
+    power, scale = (2 * j, 1) if parity == "even" else (2 * j - 1, 4)
+    try:
+        jensen_log2 = ell * math.log2(power / j) - math.log2(scale)
+        if jensen_log2 > _LOG2_FLOAT_LIMIT or j > ell >= _PAIRINGS_OVERFLOW_ELL:
+            raise OverflowError
+        if j > ell:
+            exact = Fraction(_horner(_diagonal_polynomial(ell)[::-1], power), scale)
+        elif parity == "even":
+            exact = even_binomial_sum(j, ell)
+        else:
+            exact = odd_binomial_sum(j, ell)
         return float(exact / Fraction(j) ** ell)
-    return _scaled_sum_log(j, ell, parity)
-
-
-def _scaled_sum_log(j: int, ell: int, parity: str) -> float:
-    scale = ell * math.log(j)
-    if parity == "even":
-        terms = (
-            math.exp(
-                (1 - 2 * j) * _LN2 + 2 * ell * math.log(2 * n)
-                + log_binomial(2 * j, j + n) - scale
-            )
-            for n in range(1, j + 1)
-        )
-    else:
-        terms = (
-            math.exp(
-                -2 * j * _LN2 + 2 * ell * math.log(2 * n - 1)
-                + log_binomial(2 * j - 1, j + n - 1) - scale
-            )
-            for n in range(1, j + 1)
-        )
-    return math.fsum(terms)
+    except OverflowError:
+        raise UnsupportedRange(
+            f"scaled {parity} sum at j={j}, ell={ell} exceeds float range"
+        ) from None
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def default_tol() -> float:
-    return float(os.environ.get("SPHEREKERNEL_TOL", "1e-10"))
+def finite_positive(raw: str) -> float:
+    """argparse type of --tol, applied to its SPHEREKERNEL_TOL default too."""
+    tol = float(raw)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(raw)
+    return tol
 
 
 def to_json(obj) -> str:
@@ -69,21 +73,14 @@ def _parse_sphere(parser: argparse.ArgumentParser, raw: str) -> int | None:
     return d
 
 
-def _check_tol(parser: argparse.ArgumentParser, tol: float) -> float:
-    if tol <= 0.0:
-        parser.error(f"--tol: must be positive, got {tol}")
-    return tol
-
-
 def cmd_eval(parser, args) -> int:
     model = _load_model(parser, args.model)
     dim = _parse_sphere(parser, args.sphere)
-    tol = _check_tol(parser, args.tol)
     for theta in args.theta:
         if not 0.0 <= theta <= math.pi + 1e-12:
             parser.error(f"--theta: values must lie in [0, pi], got {theta}")
     spec = kernels.KernelSpec(dim, model)
-    values = [kernels.phi_eval(spec, theta, tol) for theta in args.theta]
+    values = [kernels.phi_eval(spec, theta, args.tol) for theta in args.theta]
     if args.format == "csv":
         lines = ["theta,phi"] + [f"{t!r},{v!r}" for t, v in zip(args.theta, values)]
         _emit("\n".join(lines) + "\n", args.output)
@@ -94,7 +91,7 @@ def cmd_eval(parser, args) -> int:
                     "sphere": "inf" if dim is None else dim,
                     "theta": list(args.theta),
                     "phi": values,
-                    "tol": tol,
+                    "tol": args.tol,
                 }
             ),
             args.output,
@@ -134,8 +131,6 @@ def cmd_ctable(parser, args) -> int:
 
 
 def cmd_asymptotics(parser, args) -> int:
-    if args.ell < 1:
-        parser.error(f"--ell: must be positive, got {args.ell}")
     if args.js:
         js = sorted(set(args.js))
     else:
@@ -169,13 +164,10 @@ def cmd_asymptotics(parser, args) -> int:
 
 def cmd_transform(parser, args) -> int:
     model = _load_model(parser, args.model)
-    tol = _check_tol(parser, args.tol)
     if args.max_index is None:
-        seq = transform.circle_sequence(model, tol)
+        seq = transform.circle_sequence(model, args.tol)
     else:
-        if args.max_index < 0:
-            parser.error(f"--max-index: must be nonnegative, got {args.max_index}")
-        seq = transform.circle_sequence_to(model, args.max_index, tol)
+        seq = transform.circle_sequence_to(model, args.max_index, args.tol)
     if args.format == "csv":
         lines = ["n,value"] + [f"{n},{v!r}" for n, v in enumerate(seq.terms)]
         _emit("\n".join(lines) + "\n", args.output)
@@ -195,8 +187,6 @@ def cmd_transform(parser, args) -> int:
 
 def cmd_classify(parser, args) -> int:
     model = _load_model(parser, args.model)
-    if args.ell_max < 0:
-        parser.error(f"--ell-max: must be nonnegative, got {args.ell_max}")
     dim = _parse_sphere(parser, args.sphere)
     if dim is None:
         report = transform.classify_inf(model, args.ell_max)
@@ -238,6 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # a string default is parsed by its type, so a bad value is a usage error
+    default_tol = os.environ.get("SPHEREKERNEL_TOL", "1e-10")
 
     def common_output(p):
         p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -247,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sphere", required=True, help="'inf' or a dimension d >= 1")
     p.add_argument("--model", required=True, help="sequence model JSON or a file path")
     p.add_argument("--theta", type=float, nargs="+", required=True)
-    p.add_argument("--tol", type=float, default=default_tol())
+    p.add_argument("--tol", type=finite_positive, default=default_tol)
     common_output(p)
     p.set_defaults(handler=cmd_eval)
 
@@ -274,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--max-index", type=int, default=None,
                    help="fixed top index; omitted means mass-based automatic choice")
-    p.add_argument("--tol", type=float, default=default_tol())
+    p.add_argument("--tol", type=finite_positive, default=default_tol)
     common_output(p)
     p.set_defaults(handler=cmd_transform)
 
@@ -307,6 +299,9 @@ def main(argv=None) -> int:
             to_json({"error": type(exc).__name__, "message": str(exc)}) + "\n"
         )
         return EXIT_DOMAIN_ERROR
+    except ValueError as exc:
+        # library argument checks (j, order, max_n, ...) are usage errors
+        parser.error(str(exc))
 
 
 def main_entry() -> None:

@@ -245,6 +245,14 @@ def _diagonal_polynomial(ell: int) -> tuple[int, ...]:
     return tuple(int(c) for c in poly)
 
 
+def _horner(highest_first: tuple[int, ...], m: int) -> int:
+    """Exact value at m of _diagonal_polynomial(ell)[::-1] (or any int polynomial)."""
+    value = 0
+    for c in highest_first:
+        value = value * m + c
+    return value
+
+
 def derivative_at_zero(power: int, order: int) -> Fraction:
     """Exact value of d^order/dx^order cos^power at x = 0.
 

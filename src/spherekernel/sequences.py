@@ -218,7 +218,7 @@ def total_mass_bound(model: SequenceModel) -> float:
 
 def truncation_index(model: SequenceModel, ell: int, tol: float) -> int:
     """Smallest start index whose certified weighted tail is at most tol."""
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ToleranceUnreachable(f"tolerance must be positive, got {tol}")
     if weighted_tail_bound(model, 0, ell).bound <= tol:
         return 0

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .asymptotics import build_leading_table
-from .derivatives import _diagonal_polynomial
+from .derivatives import _diagonal_polynomial, _horner
 from .errors import DivergentSeries, ToleranceUnreachable
 from .exact import binomial, log_binomial
 from .kernels import phi_eval_inf
@@ -68,7 +68,7 @@ def circle_coefficient(model: SequenceModel, n: int, tol: float = 1e-12) -> floa
 def _circle_prefix(model: SequenceModel, tol: float) -> tuple[float, ...]:
     # the a_m that every b_n within tol needs: all of a Finite model, else
     # the certified prefix of the plain sum
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ToleranceUnreachable(f"tolerance must be positive, got {tol}")
     if isinstance(model, Finite):
         return model.terms
@@ -101,7 +101,7 @@ def circle_sequence(
     bounded by a tight certified upper bound on the model total minus the
     accumulated partial sum (padded by the per-term error budget).
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ToleranceUnreachable(f"tolerance must be positive, got {tol}")
     mass_upper = math.fsum(coefficient_prefix(model, tol / 4.0)) + tol / 4.0
     per_tol = tol / 1000.0
@@ -243,13 +243,6 @@ def derivative_at_zero_series(
     growth = build_leading_table(ell).cell(ell, ell)
     cutoff = truncation_index(model, ell, tol / growth)
     highest_first = _diagonal_polynomial(ell)[::-1]
-
-    def diag(m: int) -> int:
-        value = 0
-        for c in highest_first:
-            value = value * m + c
-        return value
-
     coeffs = ((m, term(model, m)) for m in range(1, cutoff))
-    total = math.fsum(a * float(diag(m)) for m, a in coeffs if a)
+    total = math.fsum(a * float(_horner(highest_first, m)) for m, a in coeffs if a)
     return (-1) ** ell * total

@@ -8,6 +8,7 @@ patched one, as in the negative-control test) is caught.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
@@ -302,26 +303,23 @@ def check_scaled_sum_shape() -> CheckResult:
     return _run("scaled sum convergence shape", body)
 
 
-def check_crossover_agreement() -> CheckResult:
-    """Exact-rational and log-domain paths agree at the crossover power."""
-    j = asymptotics.EXACT_CROSSOVER
-    tol = 1e-9
+def check_scaled_sum_definition() -> CheckResult:
+    """scaled_sum is the float nearest its defining sum over j^ell.
+
+    j in {1, 2, 5} reads the defining sum for some ell and the moment
+    polynomial for the others; 200 and 201 read the polynomial.
+    """
+    sums = {"even": asymptotics.even_binomial_sum, "odd": asymptotics.odd_binomial_sum}
 
     def body():
-        worst = 0.0
-        for ell in range(1, 6):
-            for parity in ("even", "odd"):
-                exact = (
-                    asymptotics.even_binomial_sum(j, ell)
-                    if parity == "even"
-                    else asymptotics.odd_binomial_sum(j, ell)
-                )
-                exact_scaled = float(exact / Fraction(j) ** ell)
-                logged = asymptotics._scaled_sum_log(j, ell, parity)
-                worst = max(worst, abs(logged - exact_scaled) / exact_scaled)
-        return worst <= tol, f"worst relative gap {worst:.3e} at j={j} (tol {tol})"
+        for j, ell, parity in itertools.product((1, 2, 5, 200, 201), range(1, 6), sums):
+            want = float(sums[parity](j, ell) / Fraction(j) ** ell)
+            got = asymptotics.scaled_sum(j, ell, parity)
+            if got != want:
+                return False, f"j={j} ell={ell} {parity}: {got!r} != {want!r}"
+        return True, "equal for j in {1, 2, 5, 200, 201}, ell <= 5, both parities"
 
-    return _run("exact/log crossover agreement", body)
+    return _run("scaled sum definition", body)
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +522,7 @@ SUITES = {
         check_leading_coefficients,
         check_ratio_convergence,
         check_scaled_sum_shape,
-        check_crossover_agreement,
+        check_scaled_sum_definition,
     ),
     "reconstruction": (
         check_reconstruction,

@@ -71,8 +71,9 @@ def test_criterion_9_psd_spot_checks():
 
 
 def test_supporting_crossover_validation():
-    # design constraint backing criteria 4 and 5: the two evaluation paths agree
-    _report("supporting (exact/log crossover)", verification.check_crossover_agreement())
+    # design constraint backing criteria 4 and 5: every scaled sum is the
+    # float nearest its exact defining sum, on both sides of j = 200
+    _report("supporting (scaled sum definition)", verification.check_scaled_sum_definition())
 
 
 def test_supporting_edge_cells():

@@ -1,11 +1,13 @@
 import math
+import sys
+import time
 from fractions import Fraction
 
 import pytest
 
+import spherekernel.asymptotics as asymptotics
 from spherekernel.asymptotics import (
-    EXACT_CROSSOVER,
-    _scaled_sum_log,
+    _PAIRINGS_OVERFLOW_ELL,
     asymptotic_ratio,
     build_leading_table,
     even_binomial_sum,
@@ -111,13 +113,59 @@ def test_scaled_sum_exact_path_values():
     assert scaled_sum(2, 1, "odd") == pytest.approx(0.375, abs=0)
 
 
-def test_scaled_sum_log_path_matches_exact_at_crossover():
-    j = EXACT_CROSSOVER
-    for ell in (1, 3, 5):
+def test_scaled_sum_equals_defining_sum():
+    # j <= ell reads the defining sum, j > ell the moment polynomial; both
+    # sides of ell and of j = 200/201 give the float nearest the exact value
+    for j in (1, 2, 3, 5, 6, 7, 200, 201, 400):
+        for ell in (1, 3, 5, 6):
+            for parity, exact_sum in (("even", even_binomial_sum), ("odd", odd_binomial_sum)):
+                want = float(exact_sum(j, ell) / Fraction(j) ** ell)
+                assert scaled_sum(j, ell, parity) == want, (j, ell, parity)
+
+
+def test_pairings_overflow_threshold_is_exact():
+    # the scaled sum for j > ell is at least (2 ell - 1)!!/4
+    def pairings(ell):
+        return Fraction(math.prod(range(1, 2 * ell, 2)), 4)
+
+    assert pairings(_PAIRINGS_OVERFLOW_ELL) > sys.float_info.max
+    assert pairings(_PAIRINGS_OVERFLOW_ELL - 1) < sys.float_info.max
+
+
+def test_scaled_sum_beyond_float_range_is_unsupported(monkeypatch):
+    grid = [(2048, 151), (2048, 200), (300, 5000), (1, 5000), (10**5, 10**5),
+            (2, 1100), (600, 1000), (140, 140)]
+    degrees = []
+    build = asymptotics._diagonal_polynomial
+    monkeypatch.setattr(
+        asymptotics, "_diagonal_polynomial", lambda ell: degrees.append(ell) or build(ell)
+    )
+    start = time.perf_counter()
+    for j, ell in grid:
         for parity in ("even", "odd"):
-            exact = scaled_sum(j, ell, parity)
-            logged = _scaled_sum_log(j, ell, parity)
-            assert logged == pytest.approx(exact, rel=1e-9)
+            try:
+                value = scaled_sum(j, ell, parity)
+            except UnsupportedRange:
+                continue
+            assert math.isfinite(value), (j, ell, parity)
+    assert time.perf_counter() - start < 1.0
+    assert max(degrees, default=0) < _PAIRINGS_OVERFLOW_ELL
+    # the largest representable value on each line is returned exactly and
+    # the next ell is refused; odd(1, ell) = 1/4 for every ell
+    for j, ell, parity in ((2, 342, "even"), (2, 473, "odd"), (40, 151, "odd"),
+                           (201, 136, "even"), (201, 137, "odd")):
+        exact_sum = even_binomial_sum if parity == "even" else odd_binomial_sum
+        want = float(exact_sum(j, ell) / Fraction(j) ** ell)
+        assert want > 1e306
+        assert scaled_sum(j, ell, parity) == want, (j, ell, parity)
+        with pytest.raises(UnsupportedRange):
+            scaled_sum(j, ell + 1, parity)
+    assert scaled_sum(1, 5000, "odd") == 0.25
+    assert scaled_sum(1, 10**9, "odd") == 0.25
+    with pytest.raises(UnsupportedRange):
+        scaled_sum(1, 5000, "even")
+    with pytest.raises(UnsupportedRange):
+        scaled_sum(2048, 151, "odd")
 
 
 def test_trace_convergence_structure():

@@ -182,25 +182,64 @@ def test_usage_error_exit_code(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize(
-    "model",
-    [
-        '{"variant":"geometric","c":NaN,"r":0.5}',
-        '{"variant":"powerlaw","C":1,"p":Infinity}',
-        '{"variant":"poisson","c":1' + "0" * 400 + "}",
-        '{"variant":"geometric","c":1e308,"r":0.5}',
-    ],
-    ids=["nan", "infinity", "huge-integer", "overflowing-mass"],
-)
-def test_non_finite_model_field_is_usage_error(capsys, model):
-    with pytest.raises(SystemExit) as exc:
-        main(["eval", "--sphere", "inf", "--theta", "0", "--model", model])
+def _eval_argv(model, *extra):
+    return ["eval", "--sphere", "inf", "--theta", "0", "--model", model, *extra]
+
+
+_GEOMETRIC = '{"variant":"geometric","c":1,"r":0.5}'
+
+
+def _assert_one_line_usage_error(capsys, exc):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "UsageError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        _eval_argv('{"variant":"geometric","c":NaN,"r":0.5}'),
+        _eval_argv('{"variant":"powerlaw","C":1,"p":Infinity}'),
+        _eval_argv('{"variant":"poisson","c":1' + "0" * 400 + "}"),
+        _eval_argv('{"variant":"geometric","c":1e308,"r":0.5}'),
+        _eval_argv(_GEOMETRIC, "--tol", "nan"),
+        _eval_argv(_GEOMETRIC, "--tol", "inf"),
+        ["transform", "--model", _GEOMETRIC, "--tol", "-1e-3"],
+        ["transform", "--model", _GEOMETRIC, "--max-index", "-1"],
+        ["asymptotics", "--ell", "2", "--js", "0", "5"],
+        ["asymptotics", "--ell", "0", "--js", "4"],
+        ["btable", "--j", "5", "--order", "0"],
+        ["ctable", "--max-n", "0"],
+        ["classify", "--model", _GEOMETRIC, "--ell-max", "-1"],
+    ],
+    ids=["nan", "infinity", "huge-integer", "overflowing-mass", "tol-nan",
+         "tol-inf", "tol-negative", "max-index-negative", "js-zero", "ell-zero",
+         "order-zero", "max-n-zero", "ell-max-negative"],
+)
+def test_non_finite_model_field_is_usage_error(capsys, argv):
+    # bad model fields, bad tolerances and library argument errors all
+    # leave the CLI as one JSON UsageError line
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    _assert_one_line_usage_error(capsys, exc)
+
+
+def test_bad_env_tolerance_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("SPHEREKERNEL_TOL", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(_eval_argv(_GEOMETRIC))
+    _assert_one_line_usage_error(capsys, exc)
+
+
+def test_scaled_sum_beyond_float_range_is_domain_error(capsys):
+    code, out, err = run_cli(capsys, "asymptotics", "--ell", "200", "--js", "2048")
+    assert code == 1 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "UnsupportedRange"
 
 
 def test_env_var_overrides_default_tolerance(capsys, monkeypatch):

@@ -62,6 +62,25 @@ def test_circle_coefficient_validation():
         circle_coefficient(Geometric(1.0, 0.5), 0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda model, tol: truncation_index(model, 0, tol),
+        lambda model, tol: phi_eval_inf(model, 0.0, tol),
+        lambda model, tol: derivative_at_zero_series(model, 1, tol),
+        lambda model, tol: circle_coefficient(model, 0, tol),
+        lambda model, tol: circle_sequence(model, tol),
+        lambda model, tol: circle_sequence_to(model, 3, tol),
+    ],
+    ids=["truncation_index", "phi_eval_inf", "derivative_series",
+         "circle_coefficient", "circle_sequence", "circle_sequence_to"],
+)
+def test_nan_tolerance_rejected(evaluate):
+    # a NaN tolerance used to truncate silently (phi 1.0 for a true 2.0)
+    with pytest.raises(ToleranceUnreachable):
+        evaluate(Geometric(1.0, 0.5), math.nan)
+
+
 def _reference_circle_coefficient(model, n, tol):
     # the three-case form of the identity, stepping until twice the
     # certified tail of the next term drops below tol
