@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, UnsupportedRange
 from .sequences import SequenceModel, coefficient_prefix, total_mass_bound
 
 
@@ -89,6 +89,8 @@ def _gegenbauer_sum(coeffs, lam: float, t: float) -> float:
 
     Runs the three-term recurrence at t and at 1 simultaneously; the
     normalizer at 1 equals binomial(k + 2 lam - 1, k) and stays positive.
+    For very large lam both grow past float range and their quotient is
+    NaN, which raises UnsupportedRange.
     """
     if not coeffs:
         return 0.0
@@ -105,6 +107,10 @@ def _gegenbauer_sum(coeffs, lam: float, t: float) -> float:
         n_prev, n_cur = n_cur, n_next
         if coeffs[k]:
             total += coeffs[k] * (c_cur / n_cur)
+    if not math.isfinite(total):
+        raise UnsupportedRange(
+            f"the Gegenbauer recurrence at lam = {lam} leaves the float range"
+        )
     return total
 
 

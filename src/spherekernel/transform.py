@@ -13,6 +13,23 @@ their total equals the total of (a_m), and each series term is at most
 twice its a-coefficient, so certified tails of the input model bound
 truncation.
 
+Over a prefix a_0..a_{M-1}, each b_n is one pass over its parity slice.
+The weights w(m, n) = 2^(1-m) C(m, (m+n)/2) have exact neighbour ratios
+
+    w(m, n) / w(m+2, n) = ((m+2)^2 - n^2) / ((m+1)(m+2)),
+
+whose integer factors are exact floats below the 2^26 prefix cap, so a
+step costs one rounded quotient and one rounded product.  The pass walks
+down from the top index of n's parity, where an underflowed weight only
+meets smaller ones.  The top weight w(top, n) starts from the central
+weight w(top, p), p = n mod 2, built by the ratio (m+1+p)/(m+2+p) along
+m, and steps across the row by (top-k)/(top+k+2) from k = p to n.  Each
+weight thus carries at most 2 top + 2 roundings, and each b_n lies
+within (2M+3) 2^-53 relative of the exact rational sum over the same
+prefix (the product bound gamma_k, Higham, Accuracy and Stability of
+Numerical Algorithms, 3.1), up to a few 2^-1074 where weights leave
+the normal float range.
+
 Smoothness classification reads decay instead: the even derivative
 phi^(2 ell)(0) exists exactly when sum_m a_m m^ell converges (weight
 m^(2 ell) in the fixed-dimension reading), decided analytically per
@@ -22,12 +39,15 @@ model variant.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate, islice, repeat
+from operator import mul, sub, truediv
 
 from .asymptotics import build_leading_table
 from .derivatives import _diagonal_polynomial, _horner
 from .errors import DivergentSeries, ToleranceUnreachable
-from .exact import binomial, log_binomial
 from .kernels import phi_eval_inf
 from .sequences import (
     Finite,
@@ -40,18 +60,6 @@ from .sequences import (
     weighted_tail_bound,
 )
 
-_LN2 = math.log(2.0)
-
-# comb() products stay comfortably inside float range below this row size
-_FLOAT_COMB_LIMIT = 400
-
-
-def _scaled_binomial(n: int, k: int, log2_scale: int) -> float:
-    """2**log2_scale * C(n, k) without overflowing intermediate floats."""
-    if n <= _FLOAT_COMB_LIMIT:
-        return float(binomial(n, k)) * 2.0 ** log2_scale
-    return math.exp(log_binomial(n, k) + log2_scale * _LN2)
-
 
 def circle_coefficient(model: SequenceModel, n: int, tol: float = 1e-12) -> float:
     """Coefficient b_n of the rebuilt cosine series, truncated within tol.
@@ -62,7 +70,7 @@ def circle_coefficient(model: SequenceModel, n: int, tol: float = 1e-12) -> floa
     """
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
-    return _circle_coefficient(_circle_prefix(model, tol), n)
+    return _circle_terms(_circle_prefix(model, tol))(n)
 
 
 def _circle_prefix(model: SequenceModel, tol: float) -> tuple[float, ...]:
@@ -75,12 +83,50 @@ def _circle_prefix(model: SequenceModel, tol: float) -> tuple[float, ...]:
     return coefficient_prefix(model, tol / 2.0)
 
 
-def _circle_coefficient(coeffs: tuple[float, ...], n: int) -> float:
-    return math.fsum(
-        a * _scaled_binomial(m, (m + n) // 2, 1 - m - (n == 0))
-        for m, a in zip(range(n, len(coeffs), 2), coeffs[n::2])
-        if a
-    )
+def _circle_terms(coeffs: tuple[float, ...]) -> Callable[[int], float]:
+    """n -> b_n over one coefficient prefix, by the weight recurrences.
+
+    Keeps, per parity, the slice of the prefix and the ratio tables from
+    the top index down, and the last row weight w(top, n), so a rising
+    run of n pays O(1) for each new top weight.
+    """
+    size = len(coeffs)
+    # a_m below the first nonzero one (underflowed Poisson terms) add nothing
+    low = next((m for m, a in enumerate(coeffs) if a), size)
+    columns = {}  # parity -> (a_m, (m+2)^2, (m+1)(m+2), w(top, p)), m from top down
+    rows = {}  # parity -> (n, w(top, n)) of the latest call
+
+    def coefficient(n: int) -> float:
+        top = n + 2 * ((size - 1 - n) // 2)
+        if top < n:
+            return 0.0
+        p = n % 2
+        if p not in columns:
+            below = range(top - 2, low - 1, -2)
+            central = reduce(
+                mul, map(truediv, range(2 * p + 1, top + p, 2), range(2 * p + 2, top + p + 1, 2)),
+                2.0 - p,
+            )
+            columns[p] = (
+                coeffs[top::-2],
+                [float((m + 2) * (m + 2)) for m in below],
+                [float((m + 1) * (m + 2)) for m in below],
+                central,
+            )
+            rows[p] = (p, central)
+        column, squares, products, central = columns[p]
+        k, w = rows[p]
+        if k > n:
+            k, w = p, central
+        steps = map(truediv, range(top - k, top - n, -2), range(top + k + 2, top + n + 2, 2))
+        w = reduce(mul, steps, w)
+        rows[p] = (n, w)
+        ratios = map(truediv, map(sub, squares, repeat(float(n * n))), products)
+        weights = accumulate(ratios, mul, initial=w)
+        total = math.fsum(map(mul, islice(column, (top - max(n, low)) // 2 + 1), weights))
+        return 0.5 * total if n == 0 else total
+
+    return coefficient
 
 
 @dataclass(frozen=True)
@@ -105,11 +151,11 @@ def circle_sequence(
         raise ToleranceUnreachable(f"tolerance must be positive, got {tol}")
     mass_upper = math.fsum(coefficient_prefix(model, tol / 4.0)) + tol / 4.0
     per_tol = tol / 1000.0
-    coeffs = _circle_prefix(model, per_tol)
+    circle_term = _circle_terms(_circle_prefix(model, per_tol))
     terms: list[float] = []
     partial = 0.0
     for n in range(max_terms + 1):
-        b = _circle_coefficient(coeffs, n)
+        b = circle_term(n)
         terms.append(b)
         partial += b
         if mass_upper - partial + 2.0 * (n + 1) * per_tol <= tol:
@@ -127,8 +173,8 @@ def circle_sequence_to(
     if max_index < 0:
         raise ValueError(f"max index must be nonnegative, got {max_index}")
     per_tol = tol / (4.0 * (max_index + 1))
-    coeffs = _circle_prefix(model, per_tol)
-    terms = tuple(_circle_coefficient(coeffs, n) for n in range(max_index + 1))
+    circle_term = _circle_terms(_circle_prefix(model, per_tol))
+    terms = tuple(map(circle_term, range(max_index + 1)))
     return CircleSequence(terms, max_index, per_tol)
 
 

@@ -242,6 +242,16 @@ def test_scaled_sum_beyond_float_range_is_domain_error(capsys):
     assert json.loads(lines[0])["error"] == "UnsupportedRange"
 
 
+def test_huge_sphere_dimension_is_domain_error(capsys):
+    code, out, err = run_cli(
+        capsys, "eval", "--sphere", str(10**12), "--theta", "1", "--model", _GEOMETRIC
+    )
+    assert code == 1 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "UnsupportedRange"
+
+
 def test_env_var_overrides_default_tolerance(capsys, monkeypatch):
     monkeypatch.setenv("SPHEREKERNEL_TOL", "1e-4")
     code, out, _ = run_cli(

@@ -6,7 +6,7 @@ import pytest
 import scipy.special
 from hypothesis import given, settings, strategies as st
 
-from spherekernel.errors import DimensionMismatch
+from spherekernel.errors import DimensionMismatch, UnsupportedRange
 from spherekernel.kernels import (
     KernelSpec,
     UnitVector,
@@ -77,6 +77,17 @@ def test_gegenbauer_domain_checks():
         gegenbauer_normalized(-1, 0.5, 0.5)
     # within the clamp slack
     assert gegenbauer_normalized(3, 0.5, 1.0 + 1e-13) == pytest.approx(1.0, abs=1e-11)
+
+
+def test_huge_sphere_dimension_is_unsupported_not_nan():
+    # both Gegenbauer recurrences overflow and their quotient was NaN
+    model = Geometric(1.0, 0.5)
+    assert phi_eval_d(KernelSpec(10**9, model), 1.0) == 1.3701467141967678
+    with pytest.raises(UnsupportedRange):
+        phi_eval_d(KernelSpec(10**11, model), 1.0)
+    assert 0.0 < gegenbauer_normalized(40, (10**6 - 1) / 2, 0.5) < 1.0
+    with pytest.raises(UnsupportedRange):
+        gegenbauer_normalized(40, (10**12 - 1) / 2, 0.5)
 
 
 def test_phi_eval_d_single_degree_one_term():

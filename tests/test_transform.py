@@ -1,6 +1,9 @@
 import math
+import random
 from fractions import Fraction
+from itertools import count, takewhile
 
+import mpmath
 import pytest
 
 import spherekernel.derivatives as derivatives
@@ -19,7 +22,6 @@ from spherekernel.sequences import (
     weighted_tail_bound,
 )
 from spherekernel.transform import (
-    _scaled_binomial,
     circle_coefficient,
     circle_sequence,
     circle_sequence_to,
@@ -82,33 +84,26 @@ def test_nan_tolerance_rejected(evaluate):
 
 
 def _reference_circle_coefficient(model, n, tol):
-    # the three-case form of the identity, stepping until twice the
-    # certified tail of the next term drops below tol
-    if n == 0:
-        j_start, to_m = 0, lambda j: 2 * j
-        weight = lambda j: _scaled_binomial(2 * j, j, -2 * j)
-    elif n % 2 == 0:
-        t = n // 2
-        j_start, to_m = t, lambda j: 2 * j
-        weight = lambda j: _scaled_binomial(2 * j, j + t, -2 * j + 1)
-    else:
-        t = (n + 1) // 2
-        j_start, to_m = t, lambda j: 2 * j - 1
-        weight = lambda j: _scaled_binomial(2 * j - 1, j + t - 1, -2 * j + 2)
+    # the exact rational b_n over the a_m of n's parity, stepping m until
+    # twice the certified tail from m drops to tol
     if isinstance(model, Finite):
-        return math.fsum(
-            model.terms[to_m(j)] * weight(j)
-            for j in range(j_start, len(model.terms) // 2 + 2)
-            if to_m(j) < len(model.terms) and model.terms[to_m(j)]
+        powers = range(n, len(model.terms), 2)
+    else:
+        powers = takewhile(
+            lambda m: weighted_tail_bound(model, m, 0).bound * 2.0 > tol, count(n, 2)
         )
-    pieces = []
-    j = j_start
-    while weighted_tail_bound(model, to_m(j), 0).bound * 2.0 > tol:
-        a = term(model, to_m(j))
-        if a:
-            pieces.append(a * weight(j))
-        j += 1
-    return math.fsum(pieces)
+    return sum(
+        Fraction(term(model, m)) * math.comb(m, (m + n) // 2) / 2 ** (m - 1 + (n == 0))
+        for m in powers
+    )
+
+
+def _assert_within_rounding(got, exact, size, context):
+    # the weight recurrences over a size-term prefix round each b_n by at
+    # most (2 size + 3) 2^-53 relative, plus a few 2^-1074 where weights
+    # leave the normal float range
+    slack = (2 * size + 3) * Fraction(1, 2**53) * exact + Fraction(4, 2**1074)
+    assert abs(Fraction(got) - exact) <= slack, (context, got, float(exact))
 
 
 REFERENCE_MODELS = (
@@ -126,12 +121,40 @@ def test_circle_coefficient_equals_stepping_reference(model):
             cutoff = len(model.terms)
         else:
             cutoff = truncation_index(model, 0, tol / 2.0)
+        if cutoff > 5000:
+            continue  # PowerLaw(1, 3.5) below 1e-5: the exact sums take minutes
         # both ends of the range plus a few interior indices of either parity
         ns = set(range(4)) | set(range(max(cutoff - 2, 0), cutoff + 3))
         ns |= {cutoff * i // 5 + i % 2 for i in range(1, 5)}
         for n in sorted(ns):
             want = _reference_circle_coefficient(model, n, tol)
-            assert circle_coefficient(model, n, tol) == want, (model, tol, n)
+            _assert_within_rounding(circle_coefficient(model, n, tol), want, cutoff, (tol, n))
+
+
+def test_circle_coefficients_where_the_diagonal_weight_underflows():
+    # 2^(1-n) underflows from n = 1075 on, so a walk up from w(n, n) would
+    # zero these columns; the exact values there are about 1e-105
+    model = Finite(tuple(random.Random(5).uniform(0.5, 1.0) for _ in range(2500)))
+    size = len(model.terms)
+    for n in (0, 1, 2, 3, 1074, 1075, 1076, 1500, 2000, size - 1, size):
+        want = _reference_circle_coefficient(model, n, 0.0)
+        _assert_within_rounding(circle_coefficient(model, n), want, size, n)
+
+
+@pytest.mark.parametrize("c, r, tol", [(0.01, 0.99, 1e-10), (0.1, 0.9, 1e-10), (1.0, 0.5, 1e-12)])
+def test_geometric_circle_sequence_against_closed_form(c, r, tol):
+    # c / (1 - r cos t) = (c / q) (1 + 2 sum_n rho^n cos(n t)), q = sqrt(1 - r^2),
+    # rho = (1 - q) / r; the oracle runs in 40-digit arithmetic
+    model = Geometric(c, r)
+    seq = circle_sequence(model, tol)
+    size = truncation_index(model, 0, seq.per_term_tol / 2.0)
+    with mpmath.workdps(40):
+        q = mpmath.sqrt(1 - mpmath.mpf(r) ** 2)
+        rho = (1 - q) / r
+        for n, got in enumerate(seq.terms):
+            want = (c if n == 0 else 2 * c * rho**n) / q
+            slack = seq.per_term_tol + (2 * size + 3) * 2.0**-53 * want
+            assert abs(got - want) <= slack, (n, got, want)
 
 
 @pytest.mark.parametrize("max_index", [-1, -2])
