@@ -18,6 +18,7 @@ definite; psd_spot_check probes that numerically on finite point sets.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -37,8 +38,9 @@ class KernelSpec:
     coefficients: SequenceModel
 
     def __post_init__(self):
-        if self.dimension is not None and self.dimension < 1:
-            raise ValueError(f"sphere dimension must be >= 1, got {self.dimension}")
+        d = self.dimension
+        if d is not None and (isinstance(d, bool) or not isinstance(d, int) or d < 1):
+            raise ValueError(f"sphere dimension must be an integer >= 1, got {d!r}")
 
     @property
     def lam(self) -> float:
@@ -57,7 +59,8 @@ class UnitVector:
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(float(c) for c in self.components))
         norm = math.sqrt(math.fsum(c * c for c in self.components))
-        if abs(norm - 1.0) > 1e-12:
+        # written so that a NaN or inf norm fails the test too
+        if not abs(norm - 1.0) <= 1e-12:
             raise ValueError(f"components must have unit norm, got norm {norm!r}")
 
     def __len__(self) -> int:
@@ -76,7 +79,7 @@ def gegenbauer_normalized(k: int, lam: float, t: float) -> float:
         raise ValueError(f"degree must be nonnegative, got {k}")
     if lam < 0 or abs(2.0 * lam - round(2.0 * lam)) > 1e-9:
         raise ValueError(f"lam must be a nonnegative half-integer, got {lam}")
-    if abs(t) > 1.0 + 1e-12:
+    if not abs(t) <= 1.0 + 1e-12:  # NaN fails this test too
         raise ValueError(f"argument must lie in [-1, 1], got {t}")
     t = max(-1.0, min(1.0, t))
     if lam == 0.0:
@@ -84,13 +87,51 @@ def gegenbauer_normalized(k: int, lam: float, t: float) -> float:
     return _gegenbauer_sum((0.0,) * k + (1.0,), lam, t)
 
 
+# theta-independent recurrence factors, kept for the few lam in use
+_TABLE_LAMS = 8
+_Tables = tuple[list[float], list[float], list[float]]
+_tables: dict[float, _Tables] = {}
+_tables_lock = threading.Lock()
+
+
+def _recurrence_tables(lam: float, size: int) -> _Tables:
+    """Lists p, q, n with p[k-2] = k + lam - 1, q[k-2] = k + 2 lam - 2 and
+    n[k-2] = C_k^lam(1) for 2 <= k < size, possibly longer.
+
+    n runs the float recurrence of C_k^lam at 1; it equals
+    binomial(k + 2 lam - 1, k) and stays positive.  A lam's tables are
+    built again, whole, when a longer prefix needs them; only the
+    _TABLE_LAMS most recently built lam are kept.
+    """
+    tables = _tables.get(lam)
+    if tables is not None and len(tables[0]) >= size - 2:
+        return tables
+    ps, qs, ns = [], [], []
+    n_prev, n_cur = 1.0, 2.0 * lam
+    for k in range(2, size):
+        p = k + lam - 1.0
+        q = k + 2.0 * lam - 2.0
+        n_prev, n_cur = n_cur, (2.0 * p * n_cur - q * n_prev) / k
+        ps.append(p)
+        qs.append(q)
+        ns.append(n_cur)
+    tables = (ps, qs, ns)
+    with _tables_lock:
+        _tables.pop(lam, None)
+        _tables[lam] = tables
+        while len(_tables) > _TABLE_LAMS:
+            del _tables[next(iter(_tables))]
+    return tables
+
+
 def _gegenbauer_sum(coeffs, lam: float, t: float) -> float:
     """sum_k coeffs[k] * C_k^lam(t) / C_k^lam(1) for lam > 0.
 
-    Runs the three-term recurrence at t and at 1 simultaneously; the
-    normalizer at 1 equals binomial(k + 2 lam - 1, k) and stays positive.
-    For very large lam both grow past float range and their quotient is
-    NaN, which raises UnsupportedRange.
+    Only the three-term recurrence at t runs per call; its
+    theta-independent factors and the normalizers C_k^lam(1) come from
+    the cached tables of _recurrence_tables.  For very large lam both
+    recurrences grow past float range and their quotient is NaN, which
+    raises UnsupportedRange.
     """
     if not coeffs:
         return 0.0
@@ -98,15 +139,13 @@ def _gegenbauer_sum(coeffs, lam: float, t: float) -> float:
     if len(coeffs) == 1:
         return total
     c_prev, c_cur = 1.0, 2.0 * lam * t
-    n_prev, n_cur = 1.0, 2.0 * lam
-    total += coeffs[1] * (c_cur / n_cur)
-    for k in range(2, len(coeffs)):
-        c_next = (2.0 * t * (k + lam - 1.0) * c_cur - (k + 2.0 * lam - 2.0) * c_prev) / k
-        n_next = (2.0 * (k + lam - 1.0) * n_cur - (k + 2.0 * lam - 2.0) * n_prev) / k
-        c_prev, c_cur = c_cur, c_next
-        n_prev, n_cur = n_cur, n_next
-        if coeffs[k]:
-            total += coeffs[k] * (c_cur / n_cur)
+    total += coeffs[1] * (c_cur / (2.0 * lam))
+    ps, qs, ns = _recurrence_tables(lam, len(coeffs))
+    two_t = 2.0 * t
+    for k, p, q, n, a in zip(range(2, len(coeffs)), ps, qs, ns, coeffs[2:]):
+        c_prev, c_cur = c_cur, (two_t * p * c_cur - q * c_prev) / k
+        if a:
+            total += a * (c_cur / n)
     if not math.isfinite(total):
         raise UnsupportedRange(
             f"the Gegenbauer recurrence at lam = {lam} leaves the float range"
@@ -129,6 +168,8 @@ def phi_eval_inf(spec, theta: float, tol: float = 1e-10) -> float:
     """
     if isinstance(spec, KernelSpec) and spec.dimension is not None:
         raise ValueError("phi_eval_inf needs a Hilbert-sphere spec (dimension None)")
+    if not math.isfinite(theta):
+        raise ValueError(f"angle must be finite, got {theta!r}")
     coeffs = _coefficient_prefix(_as_model(spec), tol)
     u = math.cos(theta)
     total = 0.0
@@ -145,6 +186,8 @@ def phi_eval_d(spec: KernelSpec, theta: float, tol: float = 1e-10) -> float:
     """
     if not isinstance(spec, KernelSpec) or spec.dimension is None:
         raise ValueError("phi_eval_d needs a KernelSpec with a finite dimension")
+    if not math.isfinite(theta):
+        raise ValueError(f"angle must be finite, got {theta!r}")
     coeffs = _coefficient_prefix(spec.coefficients, tol)
     if spec.dimension == 1:
         return math.fsum(a * math.cos(k * theta) for k, a in enumerate(coeffs))
@@ -196,6 +239,8 @@ def psd_spot_check(
     dims = {len(p) for p in points}
     if len(dims) > 1:
         raise DimensionMismatch(f"points have mixed ambient dimensions {sorted(dims)}")
+    if not all(math.isfinite(w) for w in weights):
+        raise ValueError("weights must be finite")
     mass = total_mass_bound(spec.coefficients)
     eval_tol = max(tol * mass / 4.0, 1e-300)
     n = len(points)

@@ -1,11 +1,14 @@
 import math
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
 import scipy.special
 from hypothesis import given, settings, strategies as st
 
+from spherekernel import kernels
 from spherekernel.errors import DimensionMismatch, UnsupportedRange
 from spherekernel.kernels import (
     KernelSpec,
@@ -17,7 +20,14 @@ from spherekernel.kernels import (
     phi_eval_inf,
     psd_spot_check,
 )
-from spherekernel.sequences import Finite, Geometric, PoissonType, PowerLaw, term
+from spherekernel.sequences import (
+    Finite,
+    Geometric,
+    PoissonType,
+    PowerLaw,
+    coefficient_prefix,
+    term,
+)
 
 
 def test_gegenbauer_degree_zero_and_one():
@@ -75,6 +85,10 @@ def test_gegenbauer_domain_checks():
         gegenbauer_normalized(2, 0.3, 0.5)  # not a half-integer
     with pytest.raises(ValueError):
         gegenbauer_normalized(-1, 0.5, 0.5)
+    for t in (math.nan, math.inf):
+        for lam in (0.0, 0.5):
+            with pytest.raises(ValueError):
+                gegenbauer_normalized(2, lam, t)
     # within the clamp slack
     assert gegenbauer_normalized(3, 0.5, 1.0 + 1e-13) == pytest.approx(1.0, abs=1e-11)
 
@@ -88,6 +102,129 @@ def test_huge_sphere_dimension_is_unsupported_not_nan():
     assert 0.0 < gegenbauer_normalized(40, (10**6 - 1) / 2, 0.5) < 1.0
     with pytest.raises(UnsupportedRange):
         gegenbauer_normalized(40, (10**12 - 1) / 2, 0.5)
+
+
+def _reference_gegenbauer_sum(coeffs, lam, t):
+    # the recurrences at t and at 1 run side by side, as before the
+    # normalizers were tabulated once per lam
+    if not coeffs:
+        return 0.0
+    total = coeffs[0]
+    if len(coeffs) == 1:
+        return total
+    c_prev, c_cur = 1.0, 2.0 * lam * t
+    n_prev, n_cur = 1.0, 2.0 * lam
+    total += coeffs[1] * (c_cur / n_cur)
+    for k in range(2, len(coeffs)):
+        c_next = (2.0 * t * (k + lam - 1.0) * c_cur - (k + 2.0 * lam - 2.0) * c_prev) / k
+        n_next = (2.0 * (k + lam - 1.0) * n_cur - (k + 2.0 * lam - 2.0) * n_prev) / k
+        c_prev, c_cur = c_cur, c_next
+        n_prev, n_cur = n_cur, n_next
+        if coeffs[k]:
+            total += coeffs[k] * (c_cur / n_cur)
+    if not math.isfinite(total):
+        raise UnsupportedRange(f"lam = {lam}")
+    return total
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except UnsupportedRange:
+        return "UnsupportedRange"
+
+
+@pytest.mark.parametrize(
+    "model",
+    [Geometric(1.0, 0.5), PoissonType(3.0), PowerLaw(1.0, 3.5), Finite((0.2, 0.0, 0.5, 0.0, 0.3))],
+)
+@pytest.mark.parametrize("tol", [1e-5, 1e-10])
+def test_gegenbauer_sum_equals_simultaneous_recurrence_reference(model, tol):
+    coeffs = coefficient_prefix(model, tol)
+    rng = random.Random(f"{model}:{tol}")
+    thetas = [0.0, math.pi] + [rng.uniform(0.0, math.pi) for _ in range(5)]
+    outcomes = set()
+    # (10**200 - 1) / 2 overflows both recurrences at degree 2, so every
+    # prefix here raises at it; (10**11 - 1) / 2 raises for the longer ones
+    for lam in (0.5, 1.0, 1.5, 3.0, (10**9 - 1) / 2, (10**11 - 1) / 2, (10**200 - 1) / 2):
+        for theta in thetas:
+            t = math.cos(theta)
+            want = _outcome(_reference_gegenbauer_sum, coeffs, lam, t)
+            assert _outcome(kernels._gegenbauer_sum, coeffs, lam, t) == want
+            outcomes.add(want)
+    assert "UnsupportedRange" in outcomes
+
+
+class _CountingDict(dict):
+    """Table cache that counts how often tables are published to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.builds = 0
+
+    def __setitem__(self, key, value):
+        self.builds += 1
+        super().__setitem__(key, value)
+
+
+def test_recurrence_tables_are_built_once_per_lam_and_bounded(monkeypatch):
+    cache = _CountingDict()
+    monkeypatch.setattr(kernels, "_tables", cache)
+    spec = KernelSpec(4, PowerLaw(1.0, 3.5))
+    for theta in (0.0, 0.3, 1.1, 2.0, math.pi):
+        phi_eval_d(spec, theta, 1e-5)
+    assert cache.builds == 1
+    tables = cache[1.5]
+
+    # a shorter prefix reuses the tables
+    phi_eval_d(KernelSpec(4, Geometric(1.0, 0.5)), 0.7, 1e-5)
+    assert cache.builds == 1 and cache[1.5] is tables
+
+    # a longer one rebuilds them, with the same leading entries
+    phi_eval_d(spec, 0.7, 1e-10)
+    assert cache.builds == 2
+    longer = cache[1.5]
+    assert len(longer[0]) > len(tables[0])
+    for new, old in zip(longer, tables):
+        assert new[: len(old)] == old
+
+    for d in range(5, 5 + kernels._TABLE_LAMS + 3):
+        phi_eval_d(KernelSpec(d, Geometric(1.0, 0.5)), 0.7, 1e-5)
+    assert len(cache) == kernels._TABLE_LAMS
+
+
+def test_recurrence_tables_under_concurrent_builds(monkeypatch):
+    # more threads than cores and more lam than the cache holds, so builds,
+    # publications and evictions interleave
+    monkeypatch.setattr(kernels, "_tables", {})
+    model = PowerLaw(1.0, 3.5)
+    coeffs = coefficient_prefix(model, 1e-5)
+    dims = range(2, 2 + kernels._TABLE_LAMS + 4)
+    want = {d: _reference_gegenbauer_sum(coeffs, (d - 1) / 2.0, math.cos(0.7)) for d in dims}
+    got, errors = [], []
+
+    def worker(offset):
+        try:
+            for i in range(40):
+                d = dims[(offset + i) % len(dims)]
+                got.append((d, phi_eval_d(KernelSpec(d, model), 0.7, 1e-5)))
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(got) == 160 and all(value == want[d] for d, value in got)
+    assert len(kernels._tables) <= kernels._TABLE_LAMS
 
 
 def test_phi_eval_d_single_degree_one_term():
@@ -155,10 +292,34 @@ def test_phi_eval_dispatch_and_spec_checks():
         KernelSpec(0, model)
 
 
+@pytest.mark.parametrize("dimension", [2.5, 3.0, True, False, "2", -1])
+def test_kernel_spec_requires_integer_dimension(dimension):
+    with pytest.raises(ValueError):
+        KernelSpec(dimension, Geometric(0.5, 0.5))
+
+
+@pytest.mark.parametrize("dimension", [None, 1, 2])
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_non_finite_angle_is_rejected(dimension, theta):
+    spec = KernelSpec(dimension, Geometric(0.5, 0.5))
+    evaluator = phi_eval_inf if dimension is None else phi_eval_d
+    for fn in (phi_eval, evaluator):
+        with pytest.raises(ValueError, match="angle must be finite"):
+            fn(spec, theta)
+
+
 def test_unit_vector_validation():
     UnitVector((1.0, 0.0))
     with pytest.raises(ValueError):
         UnitVector((1.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "components", [(math.nan,), (1.0, math.nan), (math.inf, 0.0), (-math.inf,)]
+)
+def test_unit_vector_rejects_non_finite_components(components):
+    with pytest.raises(ValueError):
+        UnitVector(components)
 
 
 def test_geodesic_distance_examples():
@@ -245,3 +406,11 @@ def test_psd_dimension_mismatch():
         psd_spot_check(spec, pts, [1.0, 1.0])
     with pytest.raises(DimensionMismatch):
         psd_spot_check(spec, pts[:1], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_psd_rejects_non_finite_weights(bad):
+    spec = KernelSpec(2, Geometric(1.0, 0.5))
+    pts = [UnitVector((1.0, 0.0, 0.0)), UnitVector((0.0, 1.0, 0.0))]
+    with pytest.raises(ValueError, match="weights must be finite"):
+        psd_spot_check(spec, pts, [1.0, bad])
