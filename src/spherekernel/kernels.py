@@ -239,6 +239,8 @@ def psd_spot_check(
     dims = {len(p) for p in points}
     if len(dims) > 1:
         raise DimensionMismatch(f"points have mixed ambient dimensions {sorted(dims)}")
+    if spec.dimension is not None and dims - {spec.dimension + 1}:
+        raise DimensionMismatch(f"points in R^{dims.pop()} do not lie on S^{spec.dimension}")
     if not all(math.isfinite(w) for w in weights):
         raise ValueError("weights must be finite")
     mass = total_mass_bound(spec.coefficients)

@@ -7,15 +7,18 @@ returned here are certified over-estimates of the weighted tails
     sum_{m >= M} a_m * m**ell
 
 never asymptotic estimates, so truncation points derived from them are
-safe for downstream reconstruction guarantees.
+safe for downstream reconstruction guarantees (0**0 = 1 throughout).
+
+A variant is one frozen dataclass holding its ``term``, certified
+``tail``, convergence limit ``max_weight`` and JSON name ``variant``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, fields
+from typing import ClassVar, Union, get_args
 
 from .errors import DivergentSeries, ToleranceUnreachable
 
@@ -44,6 +47,8 @@ def _require_finite_mass(model: SequenceModel) -> None:
 class Finite:
     """a_m = terms[m] for m < len(terms), 0 beyond."""
 
+    variant: ClassVar[str] = "finite"
+    max_weight: ClassVar[int | None] = None
     terms: tuple[float, ...]
 
     def __post_init__(self):
@@ -53,11 +58,19 @@ class Finite:
             raise ValueError("finite sequence terms must be nonnegative")
         _require_finite_mass(self)
 
+    def term(self, m: int) -> float:
+        return self.terms[m] if m < len(self.terms) else 0.0
+
+    def tail(self, start: int, ell: int) -> float:
+        return math.fsum(a * float(m ** ell) for m, a in enumerate(self.terms[start:], start))
+
 
 @dataclass(frozen=True)
 class Geometric:
     """a_m = c * r**m with c >= 0 and 0 <= r < 1."""
 
+    variant: ClassVar[str] = "geometric"
+    max_weight: ClassVar[int | None] = None
     c: float
     r: float
 
@@ -69,11 +82,30 @@ class Geometric:
             raise ValueError(f"ratio must lie in [0, 1), got {self.r}")
         _require_finite_mass(self)
 
+    def term(self, m: int) -> float:
+        return self.c * self.r ** m
+
+    def tail(self, start: int, ell: int) -> float:
+        c, r = self.c, self.r
+        if c == 0.0:
+            return 0.0
+        if r == 0.0:
+            return c if (start == 0 and ell == 0) else 0.0
+        if ell == 0:
+            return c * r ** start / (1.0 - r)
+        # Beyond m0 the term ratio r*((m+1)/m)**ell stays below 2r/(1+r) < 1.
+        rho = (1.0 + r) / 2.0
+        m0 = max(start, 1, math.ceil(ell / math.log(1.0 / rho)))
+        head = math.fsum(self.term(m) * float(m ** ell) for m in range(max(start, 1), m0))
+        q = r * ((m0 + 1.0) / m0) ** ell
+        return head + self.term(m0) * float(m0 ** ell) / (1.0 - q)
+
 
 @dataclass(frozen=True)
 class PowerLaw:
     """a_m = C * (m+1)**(-p) with C >= 0 and p > 1 (offset keeps a_0 finite)."""
 
+    variant: ClassVar[str] = "powerlaw"
     C: float
     p: float
 
@@ -85,11 +117,29 @@ class PowerLaw:
             raise ValueError(f"exponent must exceed 1 for summability, got {self.p}")
         _require_finite_mass(self)
 
+    @property
+    def max_weight(self) -> int | None:
+        # integer ell < p - 1; ell = 0 always qualifies since p > 1
+        return None if self.C == 0.0 else math.ceil(self.p - 1.0) - 1
+
+    def term(self, m: int) -> float:
+        return self.C * float(m + 1) ** (-self.p)
+
+    def tail(self, start: int, ell: int) -> float:
+        if self.C == 0.0:
+            return 0.0
+        # m**ell <= (m+1)**ell, then integral test on sum n**(ell - p)
+        s = self.p - ell
+        n0 = float(start + 1)
+        return self.C * (n0 ** -s + n0 ** (1.0 - s) / (s - 1.0))
+
 
 @dataclass(frozen=True)
 class PoissonType:
     """a_m = exp(-c) * c**m / m! with intensity c >= 0."""
 
+    variant: ClassVar[str] = "poisson"
+    max_weight: ClassVar[int | None] = None
     c: float
 
     def __post_init__(self):
@@ -97,8 +147,33 @@ class PoissonType:
         if self.c < 0.0:
             raise ValueError(f"intensity must be nonnegative, got {self.c}")
 
+    def term(self, m: int) -> float:
+        c = self.c
+        if c == 0.0:
+            return 1.0 if m == 0 else 0.0
+        if m <= 64:
+            try:
+                return math.exp(-c) * c ** m / math.factorial(m)
+            except OverflowError:
+                pass
+        # log-domain form avoids overflow in c**m for large m or c
+        return math.exp(-c + m * math.log(c) - math.lgamma(m + 1))
+
+    def tail(self, start: int, ell: int) -> float:
+        c = self.c
+        if c == 0.0:
+            return 1.0 if (start == 0 and ell == 0) else 0.0
+        m0 = max(start, 1, math.ceil(2.0 * c) + ell)
+        while c / (m0 + 1.0) * (1.0 + 1.0 / m0) ** ell > 0.5:
+            m0 += 1
+        head_start = start if ell == 0 else max(start, 1)
+        head = math.fsum(self.term(m) * float(m ** ell) for m in range(head_start, m0))
+        q = c / (m0 + 1.0) * (1.0 + 1.0 / m0) ** ell
+        return head + self.term(m0) * float(m0 ** ell) / (1.0 - q)
+
 
 SequenceModel = Union[Finite, Geometric, PowerLaw, PoissonType]
+_VARIANTS = {cls.variant: cls for cls in get_args(SequenceModel)}
 
 
 @dataclass(frozen=True)
@@ -114,40 +189,15 @@ def term(model: SequenceModel, m: int) -> float:
     """Coefficient a_m of the model."""
     if m < 0:
         raise ValueError(f"index must be nonnegative, got {m}")
-    if isinstance(model, Finite):
-        return model.terms[m] if m < len(model.terms) else 0.0
-    if isinstance(model, Geometric):
-        return model.c * model.r ** m
-    if isinstance(model, PowerLaw):
-        return model.C * float(m + 1) ** (-model.p)
-    if isinstance(model, PoissonType):
-        c = model.c
-        if c == 0.0:
-            return 1.0 if m == 0 else 0.0
-        if m <= 64:
-            try:
-                return math.exp(-c) * c ** m / math.factorial(m)
-            except OverflowError:
-                pass
-        # log-domain form avoids overflow in c**m for large m or c
-        return math.exp(-c + m * math.log(c) - math.lgamma(m + 1))
-    raise TypeError(f"not a sequence model: {model!r}")
+    return model.term(m)
 
 
 def converges_weighted(model: SequenceModel, ell: int) -> bool:
     """Whether sum_m a_m * m**ell is finite, decided analytically per variant."""
     if ell < 0:
         raise ValueError(f"weight power must be nonnegative, got {ell}")
-    if isinstance(model, (Finite, Geometric, PoissonType)):
-        return True
-    if isinstance(model, PowerLaw):
-        return model.C == 0.0 or ell < model.p - 1.0
-    raise TypeError(f"not a sequence model: {model!r}")
-
-
-def _weighted_term(model: SequenceModel, m: int, ell: int) -> float:
-    # convention 0**0 = 1, so the m=0 term survives only at ell = 0
-    return term(model, m) * float(m ** ell)
+    limit = model.max_weight
+    return limit is None or ell <= limit
 
 
 def weighted_tail_bound(model: SequenceModel, start: int, ell: int) -> TailBound:
@@ -164,51 +214,7 @@ def weighted_tail_bound(model: SequenceModel, start: int, ell: int) -> TailBound
         raise DivergentSeries(
             f"sum of a_m * m^{ell} diverges for {model!r}; no truncation is valid"
         )
-    return TailBound(start, ell, _tail_bound_value(model, start, ell))
-
-
-def _tail_bound_value(model: SequenceModel, start: int, ell: int) -> float:
-    if isinstance(model, Finite):
-        return math.fsum(
-            _weighted_term(model, m, ell) for m in range(start, len(model.terms))
-        )
-
-    if isinstance(model, Geometric):
-        c, r = model.c, model.r
-        if c == 0.0:
-            return 0.0
-        if r == 0.0:
-            return c if (start == 0 and ell == 0) else 0.0
-        if ell == 0:
-            return c * r ** start / (1.0 - r)
-        # Beyond m0 the term ratio r*((m+1)/m)**ell stays below 2r/(1+r) < 1.
-        rho = (1.0 + r) / 2.0
-        m0 = max(start, 1, math.ceil(ell / math.log(1.0 / rho)))
-        head = math.fsum(_weighted_term(model, m, ell) for m in range(max(start, 1), m0))
-        q = r * ((m0 + 1.0) / m0) ** ell
-        return head + _weighted_term(model, m0, ell) / (1.0 - q)
-
-    if isinstance(model, PowerLaw):
-        if model.C == 0.0:
-            return 0.0
-        # m**ell <= (m+1)**ell, then integral test on sum n**(ell - p)
-        s = model.p - ell
-        n0 = float(start + 1)
-        return model.C * (n0 ** -s + n0 ** (1.0 - s) / (s - 1.0))
-
-    if isinstance(model, PoissonType):
-        c = model.c
-        if c == 0.0:
-            return 1.0 if (start == 0 and ell == 0) else 0.0
-        m0 = max(start, 1, math.ceil(2.0 * c) + ell)
-        while c / (m0 + 1.0) * (1.0 + 1.0 / m0) ** ell > 0.5:
-            m0 += 1
-        head_start = start if ell == 0 else max(start, 1)
-        head = math.fsum(_weighted_term(model, m, ell) for m in range(head_start, m0))
-        q = c / (m0 + 1.0) * (1.0 + 1.0 / m0) ** ell
-        return head + _weighted_term(model, m0, ell) / (1.0 - q)
-
-    raise TypeError(f"not a sequence model: {model!r}")
+    return TailBound(start, ell, model.tail(start, ell))
 
 
 def total_mass_bound(model: SequenceModel) -> float:
@@ -249,35 +255,29 @@ def coefficient_prefix(model: SequenceModel, tol: float) -> tuple[float, ...]:
 
 
 def model_to_dict(model: SequenceModel) -> dict:
-    if isinstance(model, Finite):
-        return {"variant": "finite", "terms": list(model.terms)}
-    if isinstance(model, Geometric):
-        return {"variant": "geometric", "c": model.c, "r": model.r}
-    if isinstance(model, PowerLaw):
-        return {"variant": "powerlaw", "C": model.C, "p": model.p}
-    if isinstance(model, PoissonType):
-        return {"variant": "poisson", "c": model.c}
-    raise TypeError(f"not a sequence model: {model!r}")
+    data = {"variant": model.variant}
+    for f in fields(model):
+        value = getattr(model, f.name)
+        data[f.name] = list(value) if isinstance(value, tuple) else value
+    return data
 
 
 def model_from_dict(data: dict) -> SequenceModel:
     if not isinstance(data, dict) or "variant" not in data:
         raise ValueError("sequence model JSON must be an object with a 'variant' key")
     variant = data["variant"]
+    # non-strings (lists, null) are unknown variants, not lookup errors
+    cls = _VARIANTS.get(variant) if isinstance(variant, str) else None
+    if cls is None:
+        raise ValueError(f"unknown sequence model variant '{variant}'")
     try:
-        if variant == "finite":
-            return Finite(tuple(data["terms"]))
-        if variant == "geometric":
-            return Geometric(float(data["c"]), float(data["r"]))
-        if variant == "powerlaw":
-            return PowerLaw(float(data["C"]), float(data["p"]))
-        if variant == "poisson":
-            return PoissonType(float(data["c"]))
+        # scalar fields go through float; sequences reach the class as given
+        values = [float(data[f.name]) if f.type == "float" else data[f.name] for f in fields(cls)]
+        return cls(*values)
     except KeyError as exc:
         raise ValueError(f"model variant '{variant}' is missing field {exc}") from exc
     except OverflowError as exc:
         raise ValueError(f"model fields must be finite: {exc}") from exc
-    raise ValueError(f"unknown sequence model variant '{variant}'")
 
 
 def model_from_json(text: str) -> SequenceModel:

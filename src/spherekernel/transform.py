@@ -32,8 +32,8 @@ the normal float range.
 
 Smoothness classification reads decay instead: the even derivative
 phi^(2 ell)(0) exists exactly when sum_m a_m m^ell converges (weight
-m^(2 ell) in the fixed-dimension reading), decided analytically per
-model variant.
+m^(2 ell) in the fixed-dimension reading), read from the model's
+analytic convergence limit max_weight.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from .errors import DivergentSeries, ToleranceUnreachable
 from .kernels import phi_eval_inf
 from .sequences import (
     Finite,
-    PowerLaw,
     SequenceModel,
     coefficient_prefix,
     converges_weighted,
@@ -74,8 +73,9 @@ def circle_coefficient(model: SequenceModel, n: int, tol: float = 1e-12) -> floa
 
 
 def _circle_prefix(model: SequenceModel, tol: float) -> tuple[float, ...]:
-    # the a_m that every b_n within tol needs: all of a Finite model, else
-    # the certified prefix of the plain sum
+    # the a_m that every b_n within tol needs: all of a Finite model, whose
+    # circle sums are exact by contract (its certified prefix could drop
+    # trailing terms below tol/2), else the certified prefix of the plain sum
     if not tol > 0.0:
         raise ToleranceUnreachable(f"tolerance must be positive, got {tol}")
     if isinstance(model, Finite):
@@ -234,14 +234,6 @@ class SmoothnessReport:
         }
 
 
-def _analytic_max_ell(model: SequenceModel, weight_factor: int) -> int | None:
-    """Largest ell with sum a_m m^(weight_factor * ell) finite; None if all are."""
-    if isinstance(model, PowerLaw) and model.C != 0.0:
-        # weight_factor * ell < p - 1, and ell = 0 always converges (p > 1)
-        return max(math.ceil((model.p - 1.0) / weight_factor) - 1, 0)
-    return None
-
-
 def _classify(model: SequenceModel, ell_max_probe: int, weight_factor: int) -> SmoothnessReport:
     if ell_max_probe < 0:
         raise ValueError(f"probe depth must be nonnegative, got {ell_max_probe}")
@@ -252,7 +244,8 @@ def _classify(model: SequenceModel, ell_max_probe: int, weight_factor: int) -> S
             weighted_tail_bound(model, 0, weight_factor * ell).bound if conv else None
         )
         verdicts.append(EllVerdict(ell, conv, value))
-    max_ell = _analytic_max_ell(model, weight_factor)
+    # weight_factor * ell <= max_weight, an integer, so the floor is exact
+    max_ell = None if model.max_weight is None else model.max_weight // weight_factor
     order = None if max_ell is None else 2 * max_ell
     return SmoothnessReport(max_ell, order, tuple(verdicts))
 

@@ -406,6 +406,13 @@ def test_psd_dimension_mismatch():
         psd_spot_check(spec, pts, [1.0, 1.0])
     with pytest.raises(DimensionMismatch):
         psd_spot_check(spec, pts[:1], [1.0, 2.0])
+    # a finite dimension d needs points in R^(d+1); the Hilbert sphere takes any
+    in_r6 = [UnitVector((1.0,) + (0.0,) * 5), UnitVector((0.0, 1.0) + (0.0,) * 4)]
+    for d in (1, 2, 4):
+        with pytest.raises(DimensionMismatch, match=f"S\\^{d}"):
+            psd_spot_check(KernelSpec(d, Geometric(1.0, 0.5)), in_r6, [1.0, 1.0])
+    assert psd_spot_check(KernelSpec(5, Geometric(1.0, 0.5)), in_r6, [1.0, 1.0]).passed
+    assert psd_spot_check(spec, in_r6, [1.0, 1.0]).passed
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from spherekernel.errors import DivergentSeries, ToleranceUnreachable
 from spherekernel.sequences import (
+    _VARIANTS,
     Finite,
     Geometric,
     PoissonType,
@@ -212,3 +214,35 @@ def test_model_from_dict_rejects_unknown_variant():
         model_from_dict({"variant": "geometric", "c": 1.0})
     with pytest.raises(ValueError):
         model_from_dict([1, 2, 3])
+    # non-string variants are unknown names, not lookup crashes
+    for variant in (["x"], None, 1, {"a": 1}):
+        with pytest.raises(ValueError, match="unknown sequence model variant"):
+            model_from_dict({"variant": variant})
+    with pytest.raises(ValueError, match="model variant 'powerlaw' is missing field 'C'"):
+        model_from_dict({"variant": "powerlaw", "p": 3.0})
+    with pytest.raises(ValueError, match="model fields must be finite"):
+        model_from_dict({"variant": "poisson", "c": 10 ** 400})
+    with pytest.raises(ValueError, match="model fields must be finite"):
+        model_from_dict({"variant": "finite", "terms": [10 ** 400]})
+    # scalar fields go through float(): null is a TypeError, not a default
+    with pytest.raises(TypeError):
+        model_from_dict({"variant": "geometric", "c": None, "r": 0.5})
+    with pytest.raises(ValueError, match="could not convert"):
+        model_from_dict({"variant": "geometric", "c": "abc", "r": 0.5})
+    # ... so numeric strings and booleans are accepted, and extra keys ignored
+    assert model_from_dict({"variant": "geometric", "c": "0.5", "r": False}) == Geometric(0.5, 0.0)
+    assert model_from_dict({"variant": "powerlaw", "C": True, "p": "3", "x": 1}) == PowerLaw(1.0, 3.0)
+    # terms reach Finite as given, which converts each one
+    assert model_from_dict({"variant": "finite", "terms": [1, "2"]}) == Finite((1.0, 2.0))
+    with pytest.raises(TypeError):
+        model_from_dict({"variant": "finite", "terms": None})
+
+
+def test_every_registered_variant_round_trips():
+    assert {type(model) for model in SAMPLE_MODELS} == set(_VARIANTS.values())
+    for model in SAMPLE_MODELS:
+        assert _VARIANTS[model.variant] is type(model)
+        data = model_to_dict(model)
+        assert list(data) == ["variant"] + [f.name for f in fields(model)]
+        assert model_from_dict(data) == model
+        assert model.tail(0, 0) == total_mass_bound(model)

@@ -5,6 +5,7 @@ from itertools import count, takewhile
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spherekernel.derivatives as derivatives
 import spherekernel.transform as transform
@@ -17,6 +18,7 @@ from spherekernel.sequences import (
     Geometric,
     PoissonType,
     PowerLaw,
+    converges_weighted,
     term,
     truncation_index,
     weighted_tail_bound,
@@ -211,6 +213,30 @@ def test_classify_d_examples():
     assert classify_d(PowerLaw(1.0, 4.5)).max_ell == 1
     assert classify_d(Finite((3.0, 2.0, 1.0))).max_ell is None
     assert classify_d(PoissonType(2.0)).max_ell is None
+
+
+def assert_max_ell_is_last_convergent_probe(p, probe=12):
+    # probe past the boundary: weight_factor * ell < p - 1 <= 11 keeps ell <= 10
+    model = PowerLaw(1.0, p)
+    for classify, weight_factor in ((classify_inf, 1), (classify_d, 2)):
+        max_ell = classify(model, probe).max_ell
+        convergent = [
+            ell for ell in range(probe + 1) if converges_weighted(model, weight_factor * ell)
+        ]
+        assert max_ell == max(convergent)
+        assert weight_factor * max_ell < p - 1.0 <= weight_factor * (max_ell + 1)
+        assert classify(PowerLaw(0.0, p), probe).max_ell is None
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 5.0, 1.5, 2.2, 4.5, 12.0])
+def test_powerlaw_max_ell_at_integer_boundaries(p):
+    assert_max_ell_is_last_convergent_probe(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.floats(min_value=1.0, max_value=12.0, exclude_min=True))
+def test_powerlaw_max_ell_on_drawn_exponents(p):
+    assert_max_ell_is_last_convergent_probe(p)
 
 
 def test_classify_reports_per_ell_verdicts():
