@@ -35,7 +35,7 @@ from .errors import (
     ToleranceUnreachable,
     UnsupportedRange,
 )
-from .exact import binomial, falling_factorial, log_binomial
+from .exact import binomial, falling_factorial
 from .kernels import (
     KernelSpec,
     PsdVerdict,

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import UnsupportedRange
-from .exact import binomial, falling_factorial
+from .exact import binomial
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,11 +279,3 @@ def table_to_csv(table: DerivTable) -> str:
     ):
         lines.append(f"{table.power},{n1},{n2},{value}")
     return "\n".join(lines) + "\n"
-
-
-def edge_matches_falling_factorial(table: DerivTable) -> bool:
-    """Whether every edge cell (n1, 0) equals power!/(power-n1)!."""
-    return all(
-        table.cell(n1, 0) == falling_factorial(table.power, n1)
-        for n1 in range(0, table.max_order + 1)
-    )

@@ -25,15 +25,3 @@ def falling_factorial(j: int, ell: int) -> int:
     if ell > j:
         raise ValueError(f"falling factorial undefined for ell={ell} > j={j}")
     return math.perm(j, ell)
-
-
-def log_binomial(n: int, k: int) -> float:
-    """Natural log of binomial(n, k) via log-gamma sums.
-
-    Relative error is far below 1e-12 for the index ranges used here;
-    unlike :func:`binomial`, out-of-range k is an error rather than 0
-    because log(0) has no float representation.
-    """
-    if n < 0 or k < 0 or k > n:
-        raise ValueError(f"log_binomial requires 0 <= k <= n, got n={n}, k={k}")
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)

@@ -262,6 +262,16 @@ def model_to_dict(model: SequenceModel) -> dict:
     return data
 
 
+def _decode_field(field, value):
+    # scalar fields go through float; sequences must be JSON arrays and
+    # reach the class as given
+    if field.type == "float":
+        return float(value)
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"model field '{field.name}' must be an array, got {type(value).__name__}")
+    return value
+
+
 def model_from_dict(data: dict) -> SequenceModel:
     if not isinstance(data, dict) or "variant" not in data:
         raise ValueError("sequence model JSON must be an object with a 'variant' key")
@@ -271,9 +281,7 @@ def model_from_dict(data: dict) -> SequenceModel:
     if cls is None:
         raise ValueError(f"unknown sequence model variant '{variant}'")
     try:
-        # scalar fields go through float; sequences reach the class as given
-        values = [float(data[f.name]) if f.type == "float" else data[f.name] for f in fields(cls)]
-        return cls(*values)
+        return cls(*(_decode_field(f, data[f.name]) for f in fields(cls)))
     except KeyError as exc:
         raise ValueError(f"model variant '{variant}' is missing field {exc}") from exc
     except OverflowError as exc:
@@ -281,4 +289,8 @@ def model_from_dict(data: dict) -> SequenceModel:
 
 
 def model_from_json(text: str) -> SequenceModel:
-    return model_from_dict(json.loads(text))
+    try:
+        data = json.loads(text)
+    except RecursionError as exc:
+        raise ValueError("sequence model JSON is nested too deeply") from exc
+    return model_from_dict(data)

@@ -18,7 +18,6 @@ from spherekernel.asymptotics import (
     trace_convergence,
     traces_to_csv,
 )
-from spherekernel.derivatives import diagonal_closed_form
 from spherekernel.errors import UnsupportedRange
 
 
@@ -99,13 +98,6 @@ def test_binomial_sums_frozen_values():
     assert odd_binomial_sum(2, 2) == Fraction(21, 4)
 
 
-def test_cross_identity_with_diagonal_closed_form():
-    for ell in range(1, 7):
-        for j in range(ell + 1, 15):
-            assert even_binomial_sum(j, ell) == diagonal_closed_form(2 * j, ell)
-            assert 4 * odd_binomial_sum(j, ell) == diagonal_closed_form(2 * j - 1, ell)
-
-
 def test_scaled_sum_exact_path_values():
     # even sums at ell=1 equal 2j, so the scaled value is constant 2
     assert scaled_sum(2, 1, "even") == 2.0
@@ -182,13 +174,6 @@ def test_trace_requires_increasing_js():
         trace_convergence(1, "even", [])
     with pytest.raises(ValueError):
         scaled_sum(4, 1, "sideways")
-
-
-def test_trace_flattens_at_large_powers():
-    for parity in ("even", "odd"):
-        trace = trace_convergence(2, parity, [256, 512, 1024, 2048])
-        v = trace.scaled_values
-        assert abs(v[-1] / v[-2] - 1.0) <= 0.02
 
 
 def test_limit_constant_report_shape():

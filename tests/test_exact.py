@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from spherekernel.exact import binomial, falling_factorial, log_binomial
+from spherekernel.exact import binomial, falling_factorial
 
 
 def pascal_row(n):
@@ -50,28 +50,3 @@ def test_falling_factorial_values():
 def test_falling_factorial_rejects_ell_above_j():
     with pytest.raises(ValueError):
         falling_factorial(3, 4)
-
-
-def test_log_binomial_small():
-    assert log_binomial(4, 2) == pytest.approx(math.log(6), rel=1e-12)
-    assert log_binomial(17, 0) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_log_binomial_large_against_exact():
-    # big-integer oracle: the exact value has ~2043 bits, well within float range as a log
-    exact = math.comb(2048, 1024)
-    assert log_binomial(2048, 1024) == pytest.approx(math.log(exact), rel=1e-13)
-
-
-def test_log_binomial_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        log_binomial(4, 5)
-    with pytest.raises(ValueError):
-        log_binomial(4, -1)
-
-
-def test_exp_log_binomial_matches_exact_up_to_300():
-    for n in range(0, 301):
-        for k in range(0, n + 1):
-            got = math.exp(log_binomial(n, k))
-            assert got == pytest.approx(float(binomial(n, k)), rel=1e-10)

@@ -234,8 +234,10 @@ def test_model_from_dict_rejects_unknown_variant():
     assert model_from_dict({"variant": "powerlaw", "C": True, "p": "3", "x": 1}) == PowerLaw(1.0, 3.0)
     # terms reach Finite as given, which converts each one
     assert model_from_dict({"variant": "finite", "terms": [1, "2"]}) == Finite((1.0, 2.0))
-    with pytest.raises(TypeError):
-        model_from_dict({"variant": "finite", "terms": None})
+    # ... but must be a JSON array, not a string or object read element-wise
+    for terms in (None, "12", {"3": 1}):
+        with pytest.raises(TypeError):
+            model_from_dict({"variant": "finite", "terms": terms})
 
 
 def test_every_registered_variant_round_trips():
