@@ -9,21 +9,45 @@ and on the infinite-dimensional (Hilbert) sphere over plain cosine powers:
 
     phi(theta) = sum_m a_m * cos(theta)^m.
 
-Every normalized basis function is bounded by 1 in absolute value on
-[-1, 1], so certified coefficient tail bounds control truncation error
-directly.  Nonnegative summable coefficients make both series positive
-definite; psd_spot_check probes that numerically on finite point sets.
+Each sum stops at the smallest M with env(M) * T(M) <= tol, where T(M)
+is a certified bound on the coefficient tail sum_{k >= M} a_k and env(M)
+bounds |basis_k| at the angle for every k >= M, without growing with k.
+With s = sin theta (from t = cos theta as s = sqrt((1 - t)(1 + t))):
+
+    sphere              env(M)
+    Hilbert             |cos theta|^M
+    S^2 (lam = 1/2)     min(1, sqrt(2 / (pi M s)))
+    S^3 (lam = 1)       min(1, 1 / ((M + 1) s))
+    S^4 (lam = 3/2)     min(1, 4 sqrt(2 / (pi M s)) / ((M + 2) s^2))
+    any other           1
+
+S^2 is Bernstein's inequality for Legendre polynomials (Szego,
+*Orthogonal Polynomials*, Thm 7.3.3).  S^3 follows from C_k^1(cos theta)
+= sin((k+1) theta) / sin theta.  S^4 follows from C_k^{3/2} = P'_{k+1},
+(1 - x^2) P'_n = n (P_{n-1} - x P_n), Bernstein's inequality for both
+Legendre values and C_k^{3/2}(1) = (k+1)(k+2)/2.  Where the envelope is
+1 (d = 1, other d, and |cos theta| = 1), and for prefixes too short to
+repay the search, the sum is the whole plain prefix.  Nonnegative
+summable coefficients make both series positive definite;
+psd_spot_check probes that numerically on finite point sets.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from .errors import DimensionMismatch, UnsupportedRange
-from .sequences import SequenceModel, coefficient_prefix, total_mass_bound
+from .sequences import (
+    SequenceModel,
+    coefficient_prefix,
+    total_mass_bound,
+    weighted_tail_bound,
+)
 
 
 @dataclass(frozen=True)
@@ -77,7 +101,7 @@ def gegenbauer_normalized(k: int, lam: float, t: float) -> float:
     """
     if k < 0:
         raise ValueError(f"degree must be nonnegative, got {k}")
-    if lam < 0 or abs(2.0 * lam - round(2.0 * lam)) > 1e-9:
+    if not math.isfinite(lam) or lam < 0 or abs(2.0 * lam - round(2.0 * lam)) > 1e-9:
         raise ValueError(f"lam must be a nonnegative half-integer, got {lam}")
     if not abs(t) <= 1.0 + 1e-12:  # NaN fails this test too
         raise ValueError(f"argument must lie in [-1, 1], got {t}")
@@ -153,8 +177,90 @@ def _gegenbauer_sum(coeffs, lam: float, t: float) -> float:
     return total
 
 
+class _Prefix:
+    """a_0 .. a_{M0-1}, with M0 the plain cutoff at tol, and suffix tails.
+
+    ``rest[m]`` bounds sum_{k >= m} a_k for 0 <= m <= M0: it is at least
+    sum_{m <= k < M0} a_k + T(M0), with T(M0) the certified plain tail.
+    The suffix sums are float additions from the back, multiplied by
+    1 + (M0 + 16) * 2**-52.  M0 additions of nonnegative terms lose at
+    most a factor 1 - M0 * 2**-53 and the product another 2**-53, so the
+    factor rounds every entry upward with at least 31 * 2**-53 to spare
+    for the roundings of an envelope and of its product with rest[m].
+    len() is the term count M0.
+    """
+
+    __slots__ = ("coeffs", "rest")
+
+    def __init__(self, coeffs: tuple[float, ...], rest: array):
+        self.coeffs = coeffs
+        self.rest = rest
+
+    def __len__(self) -> int:
+        return len(self.coeffs)
+
+
+def _prefix(model: SequenceModel, tol: float) -> _Prefix:
+    coeffs = coefficient_prefix(model, tol)
+    size = len(coeffs)
+    sums = accumulate(reversed(coeffs), initial=weighted_tail_bound(model, size, 0).bound)
+    scale = 1.0 + (size + 16) * 2.0 ** -52
+    return _Prefix(coeffs, array("d", [total * scale for total in reversed(list(sums))]))
+
+
 # kernels are evaluated at many angles with one (model, tol), so keep the prefix
-_coefficient_prefix = lru_cache(maxsize=128)(coefficient_prefix)
+_coefficient_prefix = lru_cache(maxsize=128)(_prefix)
+
+
+def _envelope(dimension: int | None, t: float):
+    """m -> bound on |basis_k(t)| for every degree k >= m >= 1, not growing
+    with m, or None where the bound is 1 (the table in the module docstring).
+    """
+    if dimension is None:
+        u = abs(t)
+        return None if u == 1.0 else lambda m: u ** m
+    if dimension not in (2, 3, 4):
+        return None
+    s = math.sqrt((1.0 - t) * (1.0 + t))
+    if s == 0.0:
+        return None
+    if dimension == 2:
+        c = 2.0 / (math.pi * s)
+        return lambda m: min(1.0, math.sqrt(c / m))
+    if dimension == 3:
+        return lambda m: min(1.0, 1.0 / ((m + 1) * s))
+    c = 4.0 * math.sqrt(2.0 / (math.pi * s)) / (s * s)
+    return lambda m: min(1.0, c / (math.sqrt(m) * (m + 2)))
+
+
+# a cutoff search costs about log2(M0) envelope probes, each about as much
+# as a few terms of a sum, so prefixes shorter than this are summed whole
+_SEARCH_MIN_TERMS = 64
+
+
+def _angle_prefix(model: SequenceModel, dimension: int | None, t: float, tol: float):
+    """The coefficients an evaluation at t sums: a_0 .. a_{M-1} of the
+    cached prefix, M the smallest m with envelope(m) * rest[m] <= tol.
+
+    The middle of the prefix is probed first; when it fails, when the
+    envelope is 1 or when the prefix is short, the whole prefix is summed.
+    """
+    prefix = _coefficient_prefix(model, tol)
+    coeffs = prefix.coeffs
+    if len(coeffs) < _SEARCH_MIN_TERMS:
+        return coeffs
+    env = _envelope(dimension, t)
+    rest, hi = prefix.rest, len(coeffs) // 2
+    if env is None or env(hi) * rest[hi] > tol:
+        return coeffs
+    lo = 0  # the test passes at hi and fails at lo, or lo = 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if env(mid) * rest[mid] <= tol:
+            hi = mid
+        else:
+            lo = mid
+    return coeffs[:hi]
 
 
 def _as_model(spec) -> SequenceModel:
@@ -170,10 +276,9 @@ def phi_eval_inf(spec, theta: float, tol: float = 1e-10) -> float:
         raise ValueError("phi_eval_inf needs a Hilbert-sphere spec (dimension None)")
     if not math.isfinite(theta):
         raise ValueError(f"angle must be finite, got {theta!r}")
-    coeffs = _coefficient_prefix(_as_model(spec), tol)
     u = math.cos(theta)
     total = 0.0
-    for a in reversed(coeffs):
+    for a in reversed(_angle_prefix(_as_model(spec), None, u, tol)):
         total = total * u + a
     return total
 
@@ -181,17 +286,18 @@ def phi_eval_inf(spec, theta: float, tol: float = 1e-10) -> float:
 def phi_eval_d(spec: KernelSpec, theta: float, tol: float = 1e-10) -> float:
     """d-sphere series sum_k a_k C_k^lam(cos theta)/C_k^lam(1) within tol.
 
-    The remainder after truncation is bounded by the coefficient tail
-    because the normalized polynomials are bounded by 1.
+    The remainder after truncation is bounded by the angle's envelope
+    times the coefficient tail (see the module docstring).
     """
     if not isinstance(spec, KernelSpec) or spec.dimension is None:
         raise ValueError("phi_eval_d needs a KernelSpec with a finite dimension")
     if not math.isfinite(theta):
         raise ValueError(f"angle must be finite, got {theta!r}")
-    coeffs = _coefficient_prefix(spec.coefficients, tol)
+    t = math.cos(theta)
+    coeffs = _angle_prefix(spec.coefficients, spec.dimension, t, tol)
     if spec.dimension == 1:
         return math.fsum(a * math.cos(k * theta) for k, a in enumerate(coeffs))
-    return _gegenbauer_sum(coeffs, spec.lam, math.cos(theta))
+    return _gegenbauer_sum(coeffs, spec.lam, t)
 
 
 def phi_eval(spec: KernelSpec, theta: float, tol: float = 1e-10) -> float:

@@ -1,7 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import spherekernel
 
 from spherekernel import cli, derivatives, verification
 from spherekernel.cli import main, to_json
@@ -285,6 +291,24 @@ def test_verify_identities_suite_passes(capsys):
     lines = out.strip().splitlines()
     assert all(line.startswith("[PASS]") for line in lines[:-1])
     assert lines[-1].endswith("checks passed")
+
+
+def test_unknown_verify_suite_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "nosuch"])
+    _assert_one_line_usage_error(capsys, exc)
+
+
+def test_cli_import_leaves_verification_unloaded():
+    # verify imports the module itself, so no other command pays for it
+    src = str(Path(spherekernel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, spherekernel.cli; print('spherekernel.verification' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_verify_fails_on_corrupted_recursion(capsys, monkeypatch):

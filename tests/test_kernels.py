@@ -2,7 +2,10 @@ import math
 import random
 import sys
 import threading
+from array import array
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -27,6 +30,7 @@ from spherekernel.sequences import (
     PowerLaw,
     coefficient_prefix,
     term,
+    weighted_tail_bound,
 )
 
 
@@ -89,6 +93,9 @@ def test_gegenbauer_domain_checks():
         for lam in (0.0, 0.5):
             with pytest.raises(ValueError):
                 gegenbauer_normalized(2, lam, t)
+    for lam in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="half-integer"):
+            gegenbauer_normalized(3, lam, 0.5)
     # within the clamp slack
     assert gegenbauer_normalized(3, 0.5, 1.0 + 1e-13) == pytest.approx(1.0, abs=1e-11)
 
@@ -198,9 +205,13 @@ def test_recurrence_tables_under_concurrent_builds(monkeypatch):
     # publications and evictions interleave
     monkeypatch.setattr(kernels, "_tables", {})
     model = PowerLaw(1.0, 3.5)
-    coeffs = coefficient_prefix(model, 1e-5)
+    t = math.cos(0.7)
     dims = range(2, 2 + kernels._TABLE_LAMS + 4)
-    want = {d: _reference_gegenbauer_sum(coeffs, (d - 1) / 2.0, math.cos(0.7)) for d in dims}
+    # each sphere sums the prefix up to its own cutoff at this angle
+    want = {
+        d: _reference_gegenbauer_sum(kernels._angle_prefix(model, d, t, 1e-5), (d - 1) / 2.0, t)
+        for d in dims
+    }
     got, errors = [], []
 
     def worker(offset):
@@ -225,6 +236,158 @@ def test_recurrence_tables_under_concurrent_builds(monkeypatch):
     assert errors == []
     assert len(got) == 160 and all(value == want[d] for d, value in got)
     assert len(kernels._tables) <= kernels._TABLE_LAMS
+
+
+def _mp_normalized_gegenbauer(lam, t, count):
+    """C_k^lam(t) / C_k^lam(1) for k < count, at 30 digits (the float t exactly)."""
+    with mpmath.workdps(30):
+        lam, x = mpmath.mpf(lam), mpmath.mpf(t)
+        c_prev, c_cur = mpmath.mpf(1), 2 * lam * x
+        n_cur = 2 * lam  # C_k^lam(1) = binomial(k + 2 lam - 1, k)
+        values = [c_prev, c_cur / n_cur]
+        for k in range(2, count):
+            c_prev, c_cur = c_cur, (2 * x * (k + lam - 1) * c_cur - (k + 2 * lam - 2) * c_prev) / k
+            n_cur = n_cur * (k + 2 * lam - 1) / k
+            values.append(c_cur / n_cur)
+        return values
+
+
+# within 1e-3 of both ends, where the envelopes are 1 for many degrees
+_ENVELOPE_ANGLES = (1e-3, 0.7, math.pi / 2, math.pi - 1e-3)
+
+
+@pytest.mark.parametrize("dimension", [2, 3, 4])
+def test_envelope_bounds_normalized_gegenbauer(dimension):
+    lam = (dimension - 1) / 2.0
+    for theta in _ENVELOPE_ANGLES:
+        t = math.cos(theta)
+        env = kernels._envelope(dimension, t)
+        values = _mp_normalized_gegenbauer(lam, t, 4001)
+        # env(k) bounds degree k; env does not grow, so it bounds every degree >= k
+        assert all(abs(values[k]) <= env(k) for k in range(1, 4001)), theta
+        assert all(env(k + 1) <= env(k) <= 1.0 for k in range(1, 4000))
+        if theta == 0.7:
+            assert env(4000) < 0.1  # a real envelope, not the bound 1
+
+
+def test_envelope_is_one_where_no_bound_is_known():
+    for dimension in (1, 5, 6):
+        assert kernels._envelope(dimension, 0.3) is None
+    for dimension in (None, 2, 3, 4):
+        assert kernels._envelope(dimension, 1.0) is None
+        assert kernels._envelope(dimension, -1.0) is None
+    assert kernels._envelope(None, 0.5)(3) == 0.125
+
+
+@pytest.mark.parametrize(
+    "model",
+    [Geometric(1.0, 0.9), PoissonType(50.0), PowerLaw(1.0, 3.5), Finite((0.5, 0.0, 0.25, 0.125))],
+)
+def test_suffix_tails_bound_the_exact_suffix_sums(model):
+    tol = 1e-8
+    prefix = kernels._prefix(model, tol)
+    coeffs = coefficient_prefix(model, tol)
+    assert prefix.coeffs == coeffs and len(prefix) == len(coeffs)
+    assert isinstance(prefix.rest, array) and len(prefix.rest) == len(coeffs) + 1
+    exact = Fraction(weighted_tail_bound(model, len(coeffs), 0).bound)
+    for m in range(len(coeffs), -1, -1):
+        if m < len(coeffs):
+            exact += Fraction(coeffs[m])
+        assert Fraction(prefix.rest[m]) >= exact
+    # rounded up by a few ulps, not more
+    assert prefix.rest[0] <= float(exact) * (1.0 + 1e-12)
+
+
+def _mp_gegenbauer_series(lam, t, terms, count):
+    """sum_{k < count} terms(k) C_k^lam(t) / C_k^lam(1) at 30 digits."""
+    values = _mp_normalized_gegenbauer(lam, t, count)
+    with mpmath.workdps(30):
+        return float(mpmath.fsum(terms(k) * v for k, v in enumerate(values)))
+
+
+_INTERIOR_ANGLES = (0.4, 1.1, 1.9, 2.8)
+
+
+def test_hilbert_geometric_matches_generating_function():
+    c, r, tol = 0.3, 0.95, 1e-10
+    model = Geometric(c, r)
+    full = len(kernels._coefficient_prefix(model, tol))
+    for theta in _INTERIOR_ANGLES:
+        t = math.cos(theta)
+        assert len(kernels._angle_prefix(model, None, t, tol)) < full
+        assert abs(phi_eval_inf(model, theta, tol) - c / (1.0 - r * t)) <= tol
+
+
+def test_s2_geometric_matches_generating_function():
+    c, r, tol = 0.3, 0.95, 1e-10
+    model = Geometric(c, r)
+    for theta in _INTERIOR_ANGLES:
+        t = math.cos(theta)
+        want = c / math.sqrt(1.0 - 2.0 * r * t + r * r)
+        assert abs(phi_eval_d(KernelSpec(2, model), theta, tol) - want) <= tol
+
+
+@pytest.mark.parametrize("dimension", [2, 3, 4])
+def test_powerlaw_matches_mpmath_gegenbauer_series(dimension):
+    model, tol = PowerLaw(1.0, 3.5), 1e-6
+    count = 2000
+    # |normalized C_k| <= 1 and (k+1)^-3.5 <= the integral over [k, k+1]
+    remainder = count ** -2.5 / 2.5
+    full = len(kernels._coefficient_prefix(model, tol))
+    lam = (dimension - 1) / 2.0
+    for theta in _INTERIOR_ANGLES:
+        t = math.cos(theta)
+        assert len(kernels._angle_prefix(model, dimension, t, tol)) < full
+        want = _mp_gegenbauer_series(lam, t, lambda k: mpmath.mpf(k + 1) ** -3.5, count)
+        got = phi_eval_d(KernelSpec(dimension, model), theta, tol)
+        assert abs(got - want) <= tol + remainder
+
+
+def _full_prefix_sum(model, dimension, theta, tol):
+    coeffs = coefficient_prefix(model, tol)
+    if dimension is None:
+        total, u = 0.0, math.cos(theta)
+        for a in reversed(coeffs):
+            total = total * u + a
+        return total
+    if dimension == 1:
+        return math.fsum(a * math.cos(k * theta) for k, a in enumerate(coeffs))
+    return _reference_gegenbauer_sum(coeffs, (dimension - 1) / 2.0, math.cos(theta))
+
+
+@pytest.mark.parametrize("dimension", [None, 1, 2, 3, 4, 5])
+def test_full_prefix_where_the_envelope_is_one(dimension):
+    # |cos theta| = 1 on every sphere, and every angle for d = 1 and d = 5
+    model, tol = PowerLaw(1.0, 3.5), 1e-6
+    thetas = [0.0, math.pi]
+    if dimension in (1, 5):
+        thetas += list(_INTERIOR_ANGLES)
+    spec = KernelSpec(dimension, model)
+    for theta in thetas:
+        assert repr(phi_eval(spec, theta, tol)) == repr(_full_prefix_sum(model, dimension, theta, tol))
+
+
+@pytest.mark.parametrize("dimension", [None, 2, 3, 4])
+def test_cutoff_is_the_smallest_certified_index(dimension):
+    for model in (PowerLaw(1.0, 3.5), Geometric(1.0, 0.99), PoissonType(50.0)):
+        prefix = kernels._coefficient_prefix(model, 1e-8)
+        for theta in _INTERIOR_ANGLES:
+            t = math.cos(theta)
+            env = kernels._envelope(dimension, t)
+            cut = len(kernels._angle_prefix(model, dimension, t, 1e-8))
+            half = len(prefix) // 2
+            if env(half) * prefix.rest[half] > 1e-8:
+                assert cut == len(prefix)  # the middle probe failed
+            else:
+                assert env(cut) * prefix.rest[cut] <= 1e-8
+                assert cut == 1 or env(cut - 1) * prefix.rest[cut - 1] > 1e-8
+
+
+def test_s4_powerlaw_cutoff_is_far_below_the_plain_prefix():
+    model, tol = PowerLaw(1.0, 3.5), 1e-10
+    full = len(kernels._coefficient_prefix(model, tol))
+    cut = len(kernels._angle_prefix(model, 4, math.cos(1.0), tol))
+    assert full > 6000 and cut < full // 10
 
 
 def test_phi_eval_d_single_degree_one_term():
