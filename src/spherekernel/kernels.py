@@ -208,7 +208,8 @@ def _prefix(model: SequenceModel, tol: float) -> _Prefix:
     return _Prefix(coeffs, array("d", [total * scale for total in reversed(list(sums))]))
 
 
-# kernels are evaluated at many angles with one (model, tol), so keep the prefix
+# kernels are evaluated at many angles with one (model, tol), so keep the prefix;
+# a caller that evaluates a model only once builds its own with _prefix
 _coefficient_prefix = lru_cache(maxsize=128)(_prefix)
 
 
@@ -238,14 +239,13 @@ def _envelope(dimension: int | None, t: float):
 _SEARCH_MIN_TERMS = 64
 
 
-def _angle_prefix(model: SequenceModel, dimension: int | None, t: float, tol: float):
+def _angle_prefix(prefix: _Prefix, dimension: int | None, t: float, tol: float):
     """The coefficients an evaluation at t sums: a_0 .. a_{M-1} of the
-    cached prefix, M the smallest m with envelope(m) * rest[m] <= tol.
+    prefix, M the smallest m with envelope(m) * rest[m] <= tol.
 
     The middle of the prefix is probed first; when it fails, when the
     envelope is 1 or when the prefix is short, the whole prefix is summed.
     """
-    prefix = _coefficient_prefix(model, tol)
     coeffs = prefix.coeffs
     if len(coeffs) < _SEARCH_MIN_TERMS:
         return coeffs
@@ -267,6 +267,20 @@ def _as_model(spec) -> SequenceModel:
     return spec.coefficients if isinstance(spec, KernelSpec) else spec
 
 
+def _cosine(theta: float) -> float:
+    if not math.isfinite(theta):
+        raise ValueError(f"angle must be finite, got {theta!r}")
+    return math.cos(theta)
+
+
+def _hilbert_sum(prefix: _Prefix, u: float, tol: float) -> float:
+    """sum_m a_m u^m over the prefix up to the cutoff at u = cos theta, by Horner."""
+    total = 0.0
+    for a in reversed(_angle_prefix(prefix, None, u, tol)):
+        total = total * u + a
+    return total
+
+
 def phi_eval_inf(spec, theta: float, tol: float = 1e-10) -> float:
     """Hilbert-sphere series sum_m a_m cos^m(theta), truncated within tol.
 
@@ -274,13 +288,8 @@ def phi_eval_inf(spec, theta: float, tol: float = 1e-10) -> float:
     """
     if isinstance(spec, KernelSpec) and spec.dimension is not None:
         raise ValueError("phi_eval_inf needs a Hilbert-sphere spec (dimension None)")
-    if not math.isfinite(theta):
-        raise ValueError(f"angle must be finite, got {theta!r}")
-    u = math.cos(theta)
-    total = 0.0
-    for a in reversed(_angle_prefix(_as_model(spec), None, u, tol)):
-        total = total * u + a
-    return total
+    u = _cosine(theta)
+    return _hilbert_sum(_coefficient_prefix(_as_model(spec), tol), u, tol)
 
 
 def phi_eval_d(spec: KernelSpec, theta: float, tol: float = 1e-10) -> float:
@@ -291,10 +300,8 @@ def phi_eval_d(spec: KernelSpec, theta: float, tol: float = 1e-10) -> float:
     """
     if not isinstance(spec, KernelSpec) or spec.dimension is None:
         raise ValueError("phi_eval_d needs a KernelSpec with a finite dimension")
-    if not math.isfinite(theta):
-        raise ValueError(f"angle must be finite, got {theta!r}")
-    t = math.cos(theta)
-    coeffs = _angle_prefix(spec.coefficients, spec.dimension, t, tol)
+    t = _cosine(theta)
+    coeffs = _angle_prefix(_coefficient_prefix(spec.coefficients, tol), spec.dimension, t, tol)
     if spec.dimension == 1:
         return math.fsum(a * math.cos(k * theta) for k, a in enumerate(coeffs))
     return _gegenbauer_sum(coeffs, spec.lam, t)

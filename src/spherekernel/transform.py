@@ -28,7 +28,29 @@ weight thus carries at most 2 top + 2 roundings, and each b_n lies
 within (2M+3) 2^-53 relative of the exact rational sum over the same
 prefix (the product bound gamma_k, Higham, Accuracy and Stability of
 Numerical Algorithms, 3.1), up to a few 2^-1074 where weights leave
-the normal float range.
+the normal float range.  Finite models take this pass over all their
+terms, PowerLaw and Poisson over the certified prefix of the plain sum.
+
+Geometric models need no prefix.  Their power series is c / (1 - r cos
+theta), and the Poisson kernel
+
+    sum_{n in Z} rho^|n| e^(i n theta) = (1 - rho^2) / (1 - 2 rho cos theta + rho^2)
+
+with rho = r / (1 + q), q = sqrt(1 - r^2), satisfies 2 rho / (1 + rho^2)
+= r and (1 - rho^2) / (1 + rho^2) = q, so the coefficients are exact:
+
+    b_0 = c / q,    b_n = 2 (c / q) rho^n.
+
+c / q and rho are each rounded once from an exact integer square root
+(within 2^-53 + 2^-100 relative), rho^n is libm's pow (within one ulp)
+and one product follows, so each b_n lies within (n + 5) 2^-53 relative
+of the true value, with no truncation, plus (c / q + 1) 2^-1072 where
+rho^n leaves the normal float range; the n in it is rho's one rounding
+raised to the power n.  Since sum_{n > M} b_n <= sum_{m > M} a_m,
+circle_sequence stops by n = M when its prefix length M is below 374,
+and by n = 498 always (where tol dominates the rounding of its partial
+sums), so for M >= 2 and every n <= N this bound is below the prefix
+path's (2M + 3) 2^-53.
 
 Smoothness classification reads decay instead: the even derivative
 phi^(2 ell)(0) exists exactly when sum_m a_m m^ell converges (weight
@@ -48,9 +70,10 @@ from operator import mul, sub, truediv
 from .asymptotics import build_leading_table
 from .derivatives import _diagonal_polynomial, _horner
 from .errors import DivergentSeries, ToleranceUnreachable
-from .kernels import phi_eval_inf
+from .kernels import _cosine, _hilbert_sum, _prefix
 from .sequences import (
     Finite,
+    Geometric,
     SequenceModel,
     coefficient_prefix,
     converges_weighted,
@@ -61,29 +84,61 @@ from .sequences import (
 
 
 def circle_coefficient(model: SequenceModel, n: int, tol: float = 1e-12) -> float:
-    """Coefficient b_n of the rebuilt cosine series, truncated within tol.
+    """Coefficient b_n of the rebuilt cosine series, within tol.
 
-    Finite models are summed exactly; parametric models drop the terms
-    beyond the certified cutoff of the plain sum at tol/2, since each
-    series term is at most twice its a-coefficient.
+    Geometric models use the closed form b_n = 2 (c / q) rho^n (b_0 = c / q),
+    q = sqrt(1 - r^2) and rho = r / (1 + q), from the Poisson kernel; it
+    is within (n + 5) 2^-53 relative of the true value, plus
+    (c / q + 1) 2^-1072 where rho^n leaves the normal float range (see
+    the module docstring).  Finite models are summed exactly; PowerLaw
+    and Poisson models drop the terms beyond the certified cutoff of the
+    plain sum at tol/2, since each series term is at most twice its
+    a-coefficient.
     """
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
-    return _circle_terms(_circle_prefix(model, tol))(n)
+    return _circle_terms(model, tol)(n)
 
 
-def _circle_prefix(model: SequenceModel, tol: float) -> tuple[float, ...]:
-    # the a_m that every b_n within tol needs: all of a Finite model, whose
-    # circle sums are exact by contract (its certified prefix could drop
-    # trailing terms below tol/2), else the certified prefix of the plain sum
+def _circle_terms(model: SequenceModel, tol: float) -> Callable[[int], float]:
+    # n -> b_n within tol: the closed form for Geometric models, the weight
+    # recurrences over all of a Finite model, whose circle sums are exact by
+    # contract (its certified prefix could drop trailing terms below tol/2),
+    # else over the certified prefix of the plain sum
     if not tol > 0.0:
         raise ToleranceUnreachable(f"tolerance must be positive, got {tol}")
+    if isinstance(model, Geometric):
+        return _geometric_circle_terms(model)
     if isinstance(model, Finite):
-        return model.terms
-    return coefficient_prefix(model, tol / 2.0)
+        return _prefix_circle_terms(model.terms)
+    return _prefix_circle_terms(coefficient_prefix(model, tol / 2.0))
 
 
-def _circle_terms(coeffs: tuple[float, ...]) -> Callable[[int], float]:
+# bits beyond the float's 53 carried by the integer square root
+_ROOT_BITS = 128
+
+
+def _geometric_circle_terms(model: Geometric) -> Callable[[int], float]:
+    """n -> b_n of c / (1 - r cos theta) in closed form.
+
+    With r = num / den exactly, den q 2^K = sqrt((den^2 - num^2) 2^(2K))
+    is floored by isqrt to within a 2^-100 relative part (q >= 2^-27), and
+    c / q and rho = num 2^K / (den 2^K + den q 2^K) are each one correctly
+    rounded integer division.  c / q is at most the model's finite mass.
+    """
+    num, den = model.r.as_integer_ratio()
+    root = math.isqrt((den * den - num * num) << 2 * _ROOT_BITS)
+    c_num, c_den = model.c.as_integer_ratio()
+    scale = (c_num * den << _ROOT_BITS) / (c_den * root)
+    rho = (num << _ROOT_BITS) / ((den << _ROOT_BITS) + root)
+
+    def coefficient(n: int) -> float:
+        return scale if n == 0 else 2.0 * (scale * rho ** n)
+
+    return coefficient
+
+
+def _prefix_circle_terms(coeffs: tuple[float, ...]) -> Callable[[int], float]:
     """n -> b_n over one coefficient prefix, by the weight recurrences.
 
     Keeps, per parity, the slice of the prefix and the ratio tables from
@@ -147,11 +202,13 @@ def circle_sequence(
     bounded by a tight certified upper bound on the model total minus the
     accumulated partial sum (padded by the per-term error budget).
     """
+    if max_terms < 0:
+        raise ValueError(f"max terms must be nonnegative, got {max_terms}")
     if not tol > 0.0:
         raise ToleranceUnreachable(f"tolerance must be positive, got {tol}")
     mass_upper = math.fsum(coefficient_prefix(model, tol / 4.0)) + tol / 4.0
     per_tol = tol / 1000.0
-    circle_term = _circle_terms(_circle_prefix(model, per_tol))
+    circle_term = _circle_terms(model, per_tol)
     terms: list[float] = []
     partial = 0.0
     for n in range(max_terms + 1):
@@ -173,8 +230,7 @@ def circle_sequence_to(
     if max_index < 0:
         raise ValueError(f"max index must be nonnegative, got {max_index}")
     per_tol = tol / (4.0 * (max_index + 1))
-    circle_term = _circle_terms(_circle_prefix(model, per_tol))
-    terms = tuple(map(circle_term, range(max_index + 1)))
+    terms = tuple(map(_circle_terms(model, per_tol), range(max_index + 1)))
     return CircleSequence(terms, max_index, per_tol)
 
 
@@ -187,13 +243,17 @@ def reconstruct_error(
     """Max abs difference between the rebuilt cosine series and the power series.
 
     Compares sum_{n<=max_index} b_n cos(n theta) against the direct
-    Hilbert-sphere evaluation over the given angles.
+    Hilbert-sphere evaluation over the given angles, phi_eval_inf at
+    tol/4.  The direct values come from one prefix built for this call
+    and left out of the kernel cache, which it would only fill with a
+    model evaluated once.
     """
     coeffs = circle_sequence_to(model, max_index, tol).terms
+    prefix = _prefix(model, tol / 4.0)
     worst = 0.0
     for theta in theta_samples:
         rebuilt = math.fsum(b * math.cos(n * theta) for n, b in enumerate(coeffs))
-        direct = phi_eval_inf(model, theta, tol / 4.0)
+        direct = _hilbert_sum(prefix, _cosine(theta), tol / 4.0)
         worst = max(worst, abs(rebuilt - direct))
     return worst
 

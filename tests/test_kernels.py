@@ -207,9 +207,10 @@ def test_recurrence_tables_under_concurrent_builds(monkeypatch):
     model = PowerLaw(1.0, 3.5)
     t = math.cos(0.7)
     dims = range(2, 2 + kernels._TABLE_LAMS + 4)
+    prefix = kernels._coefficient_prefix(model, 1e-5)
     # each sphere sums the prefix up to its own cutoff at this angle
     want = {
-        d: _reference_gegenbauer_sum(kernels._angle_prefix(model, d, t, 1e-5), (d - 1) / 2.0, t)
+        d: _reference_gegenbauer_sum(kernels._angle_prefix(prefix, d, t, 1e-5), (d - 1) / 2.0, t)
         for d in dims
     }
     got, errors = [], []
@@ -311,10 +312,10 @@ _INTERIOR_ANGLES = (0.4, 1.1, 1.9, 2.8)
 def test_hilbert_geometric_matches_generating_function():
     c, r, tol = 0.3, 0.95, 1e-10
     model = Geometric(c, r)
-    full = len(kernels._coefficient_prefix(model, tol))
+    prefix = kernels._coefficient_prefix(model, tol)
     for theta in _INTERIOR_ANGLES:
         t = math.cos(theta)
-        assert len(kernels._angle_prefix(model, None, t, tol)) < full
+        assert len(kernels._angle_prefix(prefix, None, t, tol)) < len(prefix)
         assert abs(phi_eval_inf(model, theta, tol) - c / (1.0 - r * t)) <= tol
 
 
@@ -333,11 +334,11 @@ def test_powerlaw_matches_mpmath_gegenbauer_series(dimension):
     count = 2000
     # |normalized C_k| <= 1 and (k+1)^-3.5 <= the integral over [k, k+1]
     remainder = count ** -2.5 / 2.5
-    full = len(kernels._coefficient_prefix(model, tol))
+    prefix = kernels._coefficient_prefix(model, tol)
     lam = (dimension - 1) / 2.0
     for theta in _INTERIOR_ANGLES:
         t = math.cos(theta)
-        assert len(kernels._angle_prefix(model, dimension, t, tol)) < full
+        assert len(kernels._angle_prefix(prefix, dimension, t, tol)) < len(prefix)
         want = _mp_gegenbauer_series(lam, t, lambda k: mpmath.mpf(k + 1) ** -3.5, count)
         got = phi_eval_d(KernelSpec(dimension, model), theta, tol)
         assert abs(got - want) <= tol + remainder
@@ -374,7 +375,7 @@ def test_cutoff_is_the_smallest_certified_index(dimension):
         for theta in _INTERIOR_ANGLES:
             t = math.cos(theta)
             env = kernels._envelope(dimension, t)
-            cut = len(kernels._angle_prefix(model, dimension, t, 1e-8))
+            cut = len(kernels._angle_prefix(prefix, dimension, t, 1e-8))
             half = len(prefix) // 2
             if env(half) * prefix.rest[half] > 1e-8:
                 assert cut == len(prefix)  # the middle probe failed
@@ -385,9 +386,9 @@ def test_cutoff_is_the_smallest_certified_index(dimension):
 
 def test_s4_powerlaw_cutoff_is_far_below_the_plain_prefix():
     model, tol = PowerLaw(1.0, 3.5), 1e-10
-    full = len(kernels._coefficient_prefix(model, tol))
-    cut = len(kernels._angle_prefix(model, 4, math.cos(1.0), tol))
-    assert full > 6000 and cut < full // 10
+    prefix = kernels._coefficient_prefix(model, tol)
+    cut = len(kernels._angle_prefix(prefix, 4, math.cos(1.0), tol))
+    assert len(prefix) > 6000 and cut < len(prefix) // 10
 
 
 def test_phi_eval_d_single_degree_one_term():

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import count, takewhile
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spherekernel.derivatives as derivatives
+import spherekernel.kernels as kernels
 import spherekernel.transform as transform
 from spherekernel.asymptotics import build_leading_table
 from spherekernel.derivatives import _diagonal_polynomial, diagonal_closed_form
@@ -18,6 +20,7 @@ from spherekernel.sequences import (
     Geometric,
     PoissonType,
     PowerLaw,
+    _VARIANTS,
     converges_weighted,
     term,
     truncation_index,
@@ -108,6 +111,22 @@ def _assert_within_rounding(got, exact, size, context):
     assert abs(Fraction(got) - exact) <= slack, (context, got, float(exact))
 
 
+def _assert_geometric_within_rounding(model, n, got):
+    # c / (1 - r cos t) = (c / q) (1 + 2 sum_n rho^n cos(n t)), q = sqrt(1 - r^2),
+    # rho = r / (1 + q); the closed form is within (n + 5) 2^-53 relative of
+    # the true value, plus (c / q + 1) 2^-1072 where rho^n leaves the normal
+    # float range.  The oracle runs in 50-digit arithmetic.
+    with mpmath.workdps(50):
+        q = mpmath.sqrt(1 - mpmath.mpf(model.r) ** 2)
+        scale = mpmath.mpf(model.c) / q
+        power = (mpmath.mpf(model.r) / (1 + q)) ** n
+        want = scale if n == 0 else 2 * scale * power
+        slack = (n + 5) * mpmath.mpf(2) ** -53 * want
+        if power < mpmath.mpf(2) ** -1021:
+            slack += (scale + 1) * mpmath.mpf(2) ** -1072
+        assert abs(got - want) <= slack, (model, n, got, want)
+
+
 REFERENCE_MODELS = (
     [Geometric(1.0, r) for r in (0.5, 0.9, 0.99)]
     + [PoissonType(c) for c in (0.5, 2.0, 50.0)]
@@ -129,8 +148,73 @@ def test_circle_coefficient_equals_stepping_reference(model):
         ns = set(range(4)) | set(range(max(cutoff - 2, 0), cutoff + 3))
         ns |= {cutoff * i // 5 + i % 2 for i in range(1, 5)}
         for n in sorted(ns):
-            want = _reference_circle_coefficient(model, n, tol)
-            _assert_within_rounding(circle_coefficient(model, n, tol), want, cutoff, (tol, n))
+            got = circle_coefficient(model, n, tol)
+            if isinstance(model, Geometric):
+                # the closed form is compared with the true value, not the
+                # truncated sum
+                _assert_geometric_within_rounding(model, n, got)
+            else:
+                want = _reference_circle_coefficient(model, n, tol)
+                _assert_within_rounding(got, want, cutoff, (tol, n))
+
+
+_FINITE_MASS = 0.5 * sys.float_info.max
+
+
+@pytest.mark.parametrize("r", [0.0, 0.3, 0.9, 0.99, 0.999999])
+@pytest.mark.parametrize("c", [0.0, 1.0, "near the finite-mass limit"])
+def test_geometric_circle_coefficients_against_mpmath(r, c):
+    # n runs to 4096, through where rho^n leaves the normal range (n near
+    # 380 for r = 0.3, 1520 to 1600 for r = 0.9); the largest c keeps the
+    # mass c / (1 - r) within float range
+    model = Geometric(_FINITE_MASS * (1.0 - r) if isinstance(c, str) else c, r)
+    terms = circle_sequence_to(model, 4096).terms
+    assert all(map(math.isfinite, terms))
+    for n in [*range(512), *range(512, 4097, 17)]:
+        _assert_geometric_within_rounding(model, n, terms[n])
+
+
+@pytest.mark.parametrize("r", [0.0, 0.3, 0.9, 0.99])
+def test_geometric_circle_entry_points_agree(r):
+    # the closed form ignores tol, so all three entry points give the same floats
+    model = Geometric(0.7, r)
+    for tol in (1e-5, 1e-10):
+        seq = circle_sequence(model, tol)
+        assert circle_sequence_to(model, seq.max_index, tol).terms == seq.terms
+        assert tuple(circle_coefficient(model, n, tol) for n in range(seq.max_index + 1)) == seq.terms
+
+
+# the cells of the benchmark's transform workload at the ends of its scale
+# range 0.95..1.05 and in the middle, with the stop index N the prefix path
+# gave there: the Geometric closed form keeps the stop rule and these N
+TRANSFORM_CELL_STOPS = [
+    (("geometric", 1.0 - 0.9, 0.9), 1e-5, (25, 25, 25)),
+    (("geometric", 1.0 - 0.9, 0.9), 1e-10, (49, 49, 50)),
+    (("geometric", 1.0 - 0.99, 0.99), 1e-5, (82, 82, 83)),
+    (("geometric", 1.0 - 0.99, 0.99), 1e-10, (165, 165, 165)),
+    (("geometric", 0.5, 0.5), 1e-10, (17, 17, 17)),
+    (("poisson", 50.0), 1e-5, (31, 32, 33)),
+    (("poisson", 50.0), 1e-10, (46, 47, 48)),
+    (("poisson", 2.0), 1e-10, (12, 12, 13)),
+    (("powerlaw", 1.0, 4.5), 1e-5, (6, 6, 6)),
+    (("powerlaw", 1.0, 4.5), 1e-10, (38, 38, 38)),
+    (("powerlaw", 1.0, 7.0), 1e-10, (11, 11, 12)),
+    (("powerlaw", 1.0, 3.5), 1e-5, (12, 12, 12)),
+    (("powerlaw", 1.0, 3.5), 1e-6, (19, 19, 19)),
+]
+
+
+@pytest.mark.parametrize("desc, tol, stops", TRANSFORM_CELL_STOPS)
+def test_circle_sequence_stops_where_the_prefix_path_stopped(desc, tol, stops):
+    for scale, stop in zip((0.95, 1.0, 1.05), stops):
+        kind, first, *rest = desc
+        model = _VARIANTS[kind](first * scale, *rest)
+        seq = circle_sequence(model, tol)
+        assert seq.max_index == stop, (model, tol)
+        # the closed form's rounding bound at n <= N stays below the prefix path's
+        if isinstance(model, Geometric):
+            size = truncation_index(model, 0, seq.per_term_tol / 2.0)
+            assert seq.max_index + 5 <= 2 * size + 3
 
 
 def test_circle_coefficients_where_the_diagonal_weight_underflows():
@@ -166,6 +250,9 @@ def test_negative_max_index_rejected(max_index):
         circle_sequence_to(model, max_index)
     with pytest.raises(ValueError, match="max index"):
         reconstruct_error(model, THETAS, max_index)
+    # a negative term budget is a bad argument, not an unreachable tolerance
+    with pytest.raises(ValueError, match="max terms"):
+        circle_sequence(model, max_terms=max_index)
 
 
 def test_monomial_reconstruction_is_exact():
@@ -191,6 +278,36 @@ def test_circle_sequence_mass_matches_model_mass():
         model_mass = phi_eval_inf(model, 0.0, 1e-12)
         assert circle_mass == pytest.approx(model_mass, abs=1e-9)
         assert all(b >= -seq.per_term_tol for b in seq.terms)
+
+
+RECONSTRUCT_MODELS = [
+    Geometric(0.01, 0.99),
+    PoissonType(50.0),
+    PowerLaw(1.0, 4.5),
+    Finite((0.5, 0.25, 0.0, 0.125)),
+]
+
+
+@pytest.mark.parametrize("model", RECONSTRUCT_MODELS)
+def test_reconstruct_error_is_the_largest_gap_to_phi_eval_inf(model):
+    tol, thetas = 1e-8, THETAS + [0.7, -2.5]
+    max_index = circle_sequence(model, tol).max_index
+    coeffs = circle_sequence_to(model, max_index, tol).terms
+    want = max(
+        abs(math.fsum(b * math.cos(n * theta) for n, b in enumerate(coeffs))
+            - phi_eval_inf(model, theta, tol / 4.0))
+        for theta in thetas
+    )
+    kernels._coefficient_prefix.cache_clear()
+    got = reconstruct_error(model, thetas, max_index, tol)
+    assert type(got) is float and got == want
+    # its prefix is built for the call and kept out of the kernel cache
+    assert kernels._coefficient_prefix.cache_info().currsize == 0
+
+
+def test_reconstruct_error_rejects_a_nan_angle():
+    with pytest.raises(ValueError, match="angle"):
+        reconstruct_error(Geometric(1.0, 0.5), [0.3, math.nan], 10)
 
 
 def test_reconstruct_error_fixture_sweep():
