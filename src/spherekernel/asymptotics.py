@@ -8,6 +8,8 @@ coefficients g satisfy their own integer recursion:
     g[n1, n2] = g[n1-1, n2] + (n1 - n2 + 1) * g[n1, n2-1]   (0 < n2 < n1)
     g[n1, n1] = g[n1, n1-1]
 
+Stored as rows[n1][n2]; each row is filled left to right from the row above.
+
 The scaled central-binomial sums
 
     even(j, ell) = 2^(1-2j) sum_{n=1}^{j} (2n)^(2 ell)   C(2j,   j+n)
@@ -41,34 +43,31 @@ class LeadingCoeffTable:
     """Triangular table of exact leading growth coefficients."""
 
     max_n: int
-    cells: dict
+    rows: tuple
 
     def cell(self, n1: int, n2: int) -> int:
-        try:
-            return self.cells[(n1, n2)]
-        except KeyError:
-            raise UnsupportedRange(
-                f"cell ({n1}, {n2}) outside leading coefficient table "
-                f"with max_n {self.max_n}"
-            ) from None
+        if 0 <= n2 <= n1 <= self.max_n:
+            return self.rows[n1][n2]
+        raise UnsupportedRange(
+            f"cell ({n1}, {n2}) outside leading coefficient table "
+            f"with max_n {self.max_n}"
+        )
 
 
 def build_leading_table(max_n: int) -> LeadingCoeffTable:
-    """Fill the leading coefficient recursion up to n1 = max_n.
-
-    Rows fill by increasing n1, then increasing n2, with the diagonal
-    copied from its left neighbour last.
-    """
+    """Fill the leading coefficient recursion up to n1 = max_n."""
     if max_n < 1:
         raise ValueError(f"max_n must be positive, got {max_n}")
-    cells: dict[tuple[int, int], int] = {}
-    for n1 in range(0, max_n + 1):
-        cells[(n1, 0)] = 1
+    rows = [(1,)]
+    for n1 in range(1, max_n + 1):
+        prev, value = rows[-1], 1
+        row = [value]
         for n2 in range(1, n1):
-            cells[(n1, n2)] = cells[(n1 - 1, n2)] + (n1 - n2 + 1) * cells[(n1, n2 - 1)]
-        if n1 >= 1:
-            cells[(n1, n1)] = cells[(n1, n1 - 1)]
-    return LeadingCoeffTable(max_n, cells)
+            value = prev[n2] + (n1 - n2 + 1) * value
+            row.append(value)
+        row.append(value)
+        rows.append(tuple(row))
+    return LeadingCoeffTable(max_n, tuple(rows))
 
 
 def asymptotic_ratio(j: int, n1: int, n2: int) -> float:
@@ -192,6 +191,7 @@ def traces_to_csv(traces) -> str:
 def leading_table_to_csv(table: LeadingCoeffTable) -> str:
     """CSV export: columns n1, n2, value with exact decimal strings."""
     lines = ["n1,n2,value"]
-    for (n1, n2), value in sorted(table.cells.items()):
-        lines.append(f"{n1},{n2},{value}")
+    for n1, row in enumerate(table.rows):
+        for n2, value in enumerate(row):
+            lines.append(f"{n1},{n2},{value}")
     return "\n".join(lines) + "\n"

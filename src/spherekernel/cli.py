@@ -106,9 +106,8 @@ def cmd_btable(parser, args) -> int:
     else:
         cells = [
             {"n1": n1, "n2": n2, "value": str(value)}
-            for (n1, n2), value in sorted(
-                table.cells.items(), key=lambda it: (it[0][0] + it[0][1], it[0][1])
-            )
+            for order in range(table.max_order + 1)
+            for (n1, n2), value in table.level(order)
         ]
         _emit(
             to_json({"j": table.power, "max_order": table.max_order, "cells": cells}),
@@ -124,7 +123,8 @@ def cmd_ctable(parser, args) -> int:
     else:
         cells = [
             {"n1": n1, "n2": n2, "value": str(value)}
-            for (n1, n2), value in sorted(table.cells.items())
+            for n1, row in enumerate(table.rows)
+            for n2, value in enumerate(row)
         ]
         _emit(to_json({"max_n": table.max_n, "cells": cells}), args.output)
     return EXIT_OK

@@ -15,10 +15,12 @@ where the positive integer table T is filled level by level
     T[q, q]   = T[q, q-1]                           diagonal, even level 2q
 
 valid while the level stays strictly below j (larger orders would push
-cosine exponents negative, so that range is rejected).  Two independent
-cross-checks live alongside the table: a term-rewriting symbolic
-differentiator over exact cos/sin polynomials, and closed-form diagonal
-values obtained from the multiple-angle expansion of cosine powers.
+cosine exponents negative, so that range is rejected).  Row `level` holds
+T[level - n2, n2] at index n2 and is filled from the row before alone: an
+interior cell from prev[n2] and prev[n2 - 1], the even diagonal T[q, q] as
+prev[q - 1].  Two independent cross-checks live alongside the table: a
+term-rewriting symbolic differentiator over exact cos/sin polynomials, and
+closed-form diagonal values from the multiple-angle expansion of cosine powers.
 """
 
 from __future__ import annotations
@@ -34,34 +36,29 @@ from .exact import binomial
 
 @dataclass(frozen=True, eq=False)
 class DerivTable:
-    """Triangular coefficient table for one fixed cosine power."""
+    """Triangular table for one cosine power: rows[level][n2] = T[level - n2, n2]."""
 
     power: int
     max_order: int
-    cells: dict
+    rows: tuple
 
     def cell(self, n1: int, n2: int) -> int:
-        try:
-            return self.cells[(n1, n2)]
-        except KeyError:
-            raise UnsupportedRange(
-                f"cell ({n1}, {n2}) outside table for power {self.power}, "
-                f"max order {self.max_order}"
-            ) from None
+        if 0 <= n2 <= n1 and n1 + n2 <= self.max_order:
+            return self.rows[n1 + n2][n2]
+        raise UnsupportedRange(
+            f"cell ({n1}, {n2}) outside table for power {self.power}, "
+            f"max order {self.max_order}"
+        )
 
     def level(self, order: int) -> list[tuple[tuple[int, int], int]]:
         """Cells with n1 + n2 == order, ordered by increasing n2."""
-        pairs = ((order - n2, n2) for n2 in range(order // 2 + 1))
-        return [(pair, self.cells[pair]) for pair in pairs if pair in self.cells]
+        if not 0 <= order <= self.max_order:
+            return []
+        return [((order - n2, n2), value) for n2, value in enumerate(self.rows[order])]
 
 
 def build_deriv_table(power: int, max_order: int) -> DerivTable:
-    """Fill the coefficient table for cos^power up to the given level.
-
-    Levels are filled in increasing order with n2 ascending inside each
-    level, so both parents of an interior cell already exist; the even
-    diagonal closes each even level last.
-    """
+    """Fill the coefficient table for cos^power up to the given level."""
     if power < 1:
         raise ValueError(f"power must be positive, got {power}")
     if max_order < 1:
@@ -71,23 +68,22 @@ def build_deriv_table(power: int, max_order: int) -> DerivTable:
             f"table undefined for order {max_order} >= power {power}; "
             "use symbolic_derivative for that range"
         )
-    cells: dict[tuple[int, int], int] = {(0, 0): 1}
+    rows = [(1,)]
     for level in range(1, max_order + 1):
-        cells[(level, 0)] = cells[(level - 1, 0)] * (power - (level - 1))
-        for n2 in range(1, (level + 1) // 2):
-            n1 = level - n2
-            cells[(n1, n2)] = (
-                cells[(n1 - 1, n2)] * (power - (n1 - 1) + n2)
-                + cells[(n1, n2 - 1)] * (n1 - (n2 - 1))
-            )
+        # interior factors j - n1 + 1 + n2 and n1 - n2 + 1 at n1 = level - n2
+        prev, edge = rows[-1], power - level + 1
+        row = [prev[0] * edge] + [
+            prev[n2] * (edge + 2 * n2) + prev[n2 - 1] * (level + 1 - 2 * n2)
+            for n2 in range(1, (level + 1) // 2)
+        ]
         if level % 2 == 0:
-            q = level // 2
-            cells[(q, q)] = cells[(q, q - 1)]
-    return DerivTable(power, max_order, cells)
+            row.append(prev[-1])
+        rows.append(tuple(row))
+    return DerivTable(power, max_order, tuple(rows))
 
 
 def cos_power_derivative(power: int, order: int, x: float) -> float:
-    """Evaluate d^order/dx^order cos^power at x via the coefficient table."""
+    """d^order/dx^order cos^power at x via the table; beyond float range raises."""
     if power < 1:
         raise ValueError(f"power must be positive, got {power}")
     if order < 0:
@@ -101,10 +97,15 @@ def cos_power_derivative(power: int, order: int, x: float) -> float:
         )
     table = build_deriv_table(power, order)
     c, s = math.cos(x), math.sin(x)
-    total = 0.0
-    for (n1, n2), coeff in table.level(order):
-        total += (-1) ** n1 * coeff * c ** (power - n1 + n2) * s ** (n1 - n2)
-    return total
+    try:
+        # |cos|, |sin| <= 1: only a coefficient's float conversion or the sum overflows
+        return math.fsum(
+            (-1) ** n1 * coeff * c ** (power - n1 + n2) * s ** (n1 - n2)
+            for (n1, n2), coeff in table.level(order)
+        )
+    except OverflowError:
+        msg = f"order {order} derivative of cos^{power} at x={x} exceeds float range"
+        raise UnsupportedRange(msg) from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,8 +275,7 @@ def derivative_at_zero(power: int, order: int) -> Fraction:
 def table_to_csv(table: DerivTable) -> str:
     """CSV export: columns j, n1, n2, value with exact decimal strings."""
     lines = ["j,n1,n2,value"]
-    for (n1, n2), value in sorted(
-        table.cells.items(), key=lambda item: (item[0][0] + item[0][1], item[0][1])
-    ):
-        lines.append(f"{table.power},{n1},{n2},{value}")
+    for order in range(table.max_order + 1):
+        for (n1, n2), value in table.level(order):
+            lines.append(f"{table.power},{n1},{n2},{value}")
     return "\n".join(lines) + "\n"

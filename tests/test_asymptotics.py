@@ -59,12 +59,17 @@ def test_leading_table_matches_bessel_closed_form():
 
 def test_leading_table_entries_positive():
     table = build_leading_table(12)
-    assert all(value > 0 for value in table.cells.values())
+    assert all(value > 0 for row in table.rows for value in row)
 
 
-def test_leading_table_cell_out_of_range():
+@pytest.mark.parametrize(
+    "n1, n2",
+    # (2, -1) and (-1, -1) would index a real row from the end
+    [(4, 0), (4, 4), (-1, 0), (-1, -1), (2, -1), (1, 2), (3, 4)],
+)
+def test_leading_table_cell_out_of_range(n1, n2):
     with pytest.raises(UnsupportedRange):
-        build_leading_table(3).cell(4, 0)
+        build_leading_table(3).cell(n1, n2)
 
 
 def test_asymptotic_ratio_base_cells_exact():

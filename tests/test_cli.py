@@ -9,7 +9,7 @@ import pytest
 
 import spherekernel
 
-from spherekernel import cli, derivatives, verification
+from spherekernel import asymptotics, cli, derivatives, verification
 from spherekernel.cli import main, to_json
 
 
@@ -71,6 +71,33 @@ def test_ctable_output(capsys):
     code, out, _ = run_cli(capsys, "ctable", "--max-n", "2", "--format", "csv")
     assert code == 0
     assert "2,1,3" in out.splitlines()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_table_outputs_come_in_row_order_with_exact_cells(capsys, fmt):
+    def parsed(*argv):
+        code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+        assert code == 0
+        if fmt == "json":
+            cells = json.loads(out)["cells"]
+            return [(c["n1"], c["n2"], int(c["value"])) for c in cells]
+        lines = out.strip().splitlines()[1:]
+        return [tuple(int(v) for v in line.split(",")[-3:]) for line in lines]
+
+    table = derivatives.build_deriv_table(40, 30)
+    got = parsed("btable", "--j", "40", "--order", "30")
+    keys = [(n1, n2) for n1, n2, _ in got]
+    assert keys == [
+        (level - n2, n2) for level in range(31) for n2 in range(level // 2 + 1)
+    ]
+    assert all(value == table.cell(n1, n2) for n1, n2, value in got)
+
+    leading = asymptotics.build_leading_table(40)
+    got = parsed("ctable", "--max-n", "40")
+    assert [(n1, n2) for n1, n2, _ in got] == [
+        (n1, n2) for n1 in range(41) for n2 in range(n1 + 1)
+    ]
+    assert all(value == leading.cell(n1, n2) for n1, n2, value in got)
 
 
 def test_classify_powerlaw(capsys):
@@ -317,10 +344,10 @@ def test_verify_fails_on_corrupted_recursion(capsys, monkeypatch):
 
     def corrupted(power, max_order):
         table = real_build(power, max_order)
-        if (2, 1) in table.cells:
-            cells = dict(table.cells)
-            cells[(2, 1)] += 1
-            return derivatives.DerivTable(table.power, table.max_order, cells)
+        if table.max_order >= 3:
+            rows = [list(row) for row in table.rows]
+            rows[3][1] += 1  # T[2, 1]
+            return derivatives.DerivTable(table.power, table.max_order, rows)
         return table
 
     monkeypatch.setattr(verification.derivatives, "build_deriv_table", corrupted)

@@ -49,10 +49,23 @@ def test_table_rejects_order_reaching_power():
         build_deriv_table(0, 1)
 
 
-def test_cell_outside_table_raises():
+@pytest.mark.parametrize(
+    "n1, n2",
+    # level above the table, negative n1 or n2, n2 > n1; (2, -1) and
+    # (-2, -1) would index a real row from the end
+    [(3, 0), (2, 1), (-1, 0), (-1, 1), (2, -1), (-2, -1), (0, 1), (0, 2)],
+)
+def test_cell_outside_table_raises(n1, n2):
     table = build_deriv_table(6, 2)
     with pytest.raises(UnsupportedRange):
-        table.cell(3, 0)
+        table.cell(n1, n2)
+
+
+def test_level_outside_table_is_empty():
+    table = build_deriv_table(6, 2)
+    assert table.level(-1) == [] and table.level(3) == []
+    assert table.level(0) == [((0, 0), 1)]
+    assert table.level(2) == [((2, 0), 30), ((1, 1), 6)]
 
 
 def test_symbolic_derivative_small_cases():
@@ -105,6 +118,12 @@ def test_deriv_eval_rejects_unsupported_order():
         cos_power_derivative(4, 4, 0.3)
 
 
+def test_deriv_eval_beyond_float_range_raises_unsupported_range():
+    # T[400, 0] = 1000!/600! is far beyond float range
+    with pytest.raises(UnsupportedRange, match="float range"):
+        cos_power_derivative(1000, 400, 0.3)
+
+
 def test_diagonal_closed_form_frozen_values():
     assert diagonal_closed_form(4, 1) == 4
     assert diagonal_closed_form(3, 1) == 3
@@ -154,7 +173,7 @@ def test_derivative_at_zero_matches_symbolic_oracle():
 def test_all_table_entries_positive():
     for power in (3, 8, 15):
         table = build_deriv_table(power, power - 1)
-        assert all(value > 0 for value in table.cells.values())
+        assert all(value > 0 for row in table.rows for value in row)
 
 
 def test_closed_form_fractions_are_normalized():
