@@ -9,6 +9,7 @@ coefficients g satisfy their own integer recursion:
     g[n1, n1] = g[n1, n1-1]
 
 Stored as rows[n1][n2]; each row is filled left to right from the row above.
+`leading_rows(max_n, one=1)` yields the rows in turn, in multiples of `one`.
 
 The scaled central-binomial sums
 
@@ -25,10 +26,12 @@ its final rounding to a float.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
-from .derivatives import _diagonal_polynomial, _horner, build_deriv_table
+from .derivatives import _diagonal_polynomial, _horner, _join_exact, deriv_rows
 from .errors import UnsupportedRange
 from .exact import binomial
 
@@ -54,20 +57,24 @@ class LeadingCoeffTable:
         )
 
 
-def build_leading_table(max_n: int) -> LeadingCoeffTable:
-    """Fill the leading coefficient recursion up to n1 = max_n."""
+def leading_rows(max_n: int, one=1):
+    """Iterator over rows 0..max_n, each built from the last; checks max_n first."""
     if max_n < 1:
         raise ValueError(f"max_n must be positive, got {max_n}")
-    rows = [(1,)]
-    for n1 in range(1, max_n + 1):
-        prev, value = rows[-1], 1
-        row = [value]
+
+    def next_row(prev: tuple, n1: int) -> tuple:
+        row, value = [one], one
         for n2 in range(1, n1):
             value = prev[n2] + (n1 - n2 + 1) * value
             row.append(value)
-        row.append(value)
-        rows.append(tuple(row))
-    return LeadingCoeffTable(max_n, tuple(rows))
+        return (*row, value)
+
+    return accumulate(range(1, max_n + 1), next_row, initial=(one,))
+
+
+def build_leading_table(max_n: int) -> LeadingCoeffTable:
+    """Fill the leading coefficient recursion up to n1 = max_n."""
+    return LeadingCoeffTable(max_n, tuple(leading_rows(max_n)))
 
 
 def asymptotic_ratio(j: int, n1: int, n2: int) -> float:
@@ -78,8 +85,8 @@ def asymptotic_ratio(j: int, n1: int, n2: int) -> float:
         raise UnsupportedRange(
             f"table cell ({n1}, {n2}) needs power above {n1 + n2}, got {j}"
         )
-    cell = build_deriv_table(j, n1 + n2).cell(n1, n2)
-    leading = build_leading_table(n1).cell(n1, n2)
+    cell = deque(deriv_rows(j, n1 + n2), maxlen=1).pop()[n2]
+    leading = deque(leading_rows(n1), maxlen=1).pop()[n2]
     return float(Fraction(cell, leading * j ** n1))
 
 
@@ -188,10 +195,13 @@ def traces_to_csv(traces) -> str:
     return "\n".join(lines) + "\n"
 
 
+def leading_csv_lines(rows):
+    """CSV lines n1,n2,value of rows from leading_rows: the header, then one chunk a row."""
+    yield "n1,n2,value\n"
+    for n1, row in enumerate(rows):
+        yield "".join(f"{n1},{n2},{value}\n" for n2, value in enumerate(row))
+
+
 def leading_table_to_csv(table: LeadingCoeffTable) -> str:
     """CSV export: columns n1, n2, value with exact decimal strings."""
-    lines = ["n1,n2,value"]
-    for n1, row in enumerate(table.rows):
-        for n2, value in enumerate(row):
-            lines.append(f"{n1},{n2},{value}")
-    return "\n".join(lines) + "\n"
+    return _join_exact(leading_csv_lines(table.rows))

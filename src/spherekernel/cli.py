@@ -2,7 +2,10 @@
 
 Exit status: 0 on success, 1 on a domain error (a single-line JSON error
 object is written to stderr), 2 on a usage error.  Exact table values
-are always serialized as decimal strings, never floats.
+are always serialized as decimal strings, never floats; btable and ctable
+stream rows of Decimal cells, since CPython's int -> str is quadratic and
+refuses ints past sys.get_int_max_str_digits().  Decimal prints in linear
+time with no limit, in a context that keeps every cell exact (rounding traps).
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ import json
 import math
 import os
 import sys
+from contextlib import nullcontext
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Overflow, Rounded, localcontext
 from pathlib import Path
 
 from . import asymptotics, derivatives, kernels, sequences, transform
@@ -20,6 +25,9 @@ from .errors import SphereKernelError
 EXIT_OK = 0
 EXIT_DOMAIN_ERROR = 1
 EXIT_USAGE = 2
+
+_EXACT = Context(MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded, Overflow])
+_JSON_CELL = '{"n1": %d, "n2": %d, "value": "%s"}'
 
 
 class _Parser(argparse.ArgumentParser):
@@ -41,11 +49,21 @@ def to_json(obj) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path:
-        Path(path).write_text(text)
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+def _emit(text, path: str | None) -> None:
+    """Write text, or chunks computed in the exact context as they come, to path or stdout."""
+    chunks = [text if text.endswith("\n") else text + "\n"] if isinstance(text, str) else text
+    with localcontext(_EXACT), open(path, "w") if path else nullcontext(sys.stdout) as out:
+        out.writelines(chunks)
+
+
+def _table_json(fields: dict, rows, n1_of):
+    """to_json({**fields, "cells": cells}) + newline, one chunk a row; row i holds n2 = 0, 1, ..."""
+    head, tail = to_json({**fields, "cells": []}).split("[]")
+    yield head + "["
+    for i, row in enumerate(rows):
+        cells = (_JSON_CELL % (n1_of(i, n2), n2, v) for n2, v in enumerate(row))
+        yield ", " * (i > 0) + ", ".join(cells)
+    yield "]" + tail + "\n"
 
 
 def _load_model(parser: argparse.ArgumentParser, raw: str) -> sequences.SequenceModel:
@@ -100,33 +118,22 @@ def cmd_eval(parser, args) -> int:
 
 
 def cmd_btable(parser, args) -> int:
-    table = derivatives.build_deriv_table(args.j, args.order)
+    rows = derivatives.deriv_rows(args.j, args.order, Decimal(1))
     if args.format == "csv":
-        _emit(derivatives.table_to_csv(table), args.output)
+        chunks = derivatives.deriv_csv_lines(args.j, rows)
     else:
-        cells = [
-            {"n1": n1, "n2": n2, "value": str(value)}
-            for order in range(table.max_order + 1)
-            for (n1, n2), value in table.level(order)
-        ]
-        _emit(
-            to_json({"j": table.power, "max_order": table.max_order, "cells": cells}),
-            args.output,
-        )
+        chunks = _table_json({"j": args.j, "max_order": args.order}, rows, lambda n, n2: n - n2)
+    _emit(chunks, args.output)
     return EXIT_OK
 
 
 def cmd_ctable(parser, args) -> int:
-    table = asymptotics.build_leading_table(args.max_n)
+    rows = asymptotics.leading_rows(args.max_n, Decimal(1))
     if args.format == "csv":
-        _emit(asymptotics.leading_table_to_csv(table), args.output)
+        chunks = asymptotics.leading_csv_lines(rows)
     else:
-        cells = [
-            {"n1": n1, "n2": n2, "value": str(value)}
-            for n1, row in enumerate(table.rows)
-            for n2, value in enumerate(row)
-        ]
-        _emit(to_json({"max_n": table.max_n, "cells": cells}), args.output)
+        chunks = _table_json({"max_n": args.max_n}, rows, lambda n1, n2: n1)
+    _emit(chunks, args.output)
     return EXIT_OK
 
 

@@ -18,7 +18,8 @@ valid while the level stays strictly below j (larger orders would push
 cosine exponents negative, so that range is rejected).  Row `level` holds
 T[level - n2, n2] at index n2 and is filled from the row before alone: an
 interior cell from prev[n2] and prev[n2 - 1], the even diagonal T[q, q] as
-prev[q - 1].  Two independent cross-checks live alongside the table: a
+prev[q - 1].  `deriv_rows(power, max_order, one=1)` yields the rows in turn, in
+multiples of `one`.  Two independent cross-checks live alongside the table: a
 term-rewriting symbolic differentiator over exact cos/sin polynomials, and
 closed-form diagonal values from the multiple-angle expansion of cosine powers.
 """
@@ -26,9 +27,11 @@ closed-form diagonal values from the multiple-angle expansion of cosine powers.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from .errors import UnsupportedRange
 from .exact import binomial
@@ -57,8 +60,8 @@ class DerivTable:
         return [((order - n2, n2), value) for n2, value in enumerate(self.rows[order])]
 
 
-def build_deriv_table(power: int, max_order: int) -> DerivTable:
-    """Fill the coefficient table for cos^power up to the given level."""
+def deriv_rows(power: int, max_order: int, one=1):
+    """Iterator over rows 0..max_order, each built from the last; checks its arguments first."""
     if power < 1:
         raise ValueError(f"power must be positive, got {power}")
     if max_order < 1:
@@ -68,18 +71,22 @@ def build_deriv_table(power: int, max_order: int) -> DerivTable:
             f"table undefined for order {max_order} >= power {power}; "
             "use symbolic_derivative for that range"
         )
-    rows = [(1,)]
-    for level in range(1, max_order + 1):
+
+    def next_row(prev: tuple, level: int) -> tuple:
         # interior factors j - n1 + 1 + n2 and n1 - n2 + 1 at n1 = level - n2
-        prev, edge = rows[-1], power - level + 1
+        edge = power - level + 1
         row = [prev[0] * edge] + [
             prev[n2] * (edge + 2 * n2) + prev[n2 - 1] * (level + 1 - 2 * n2)
             for n2 in range(1, (level + 1) // 2)
         ]
-        if level % 2 == 0:
-            row.append(prev[-1])
-        rows.append(tuple(row))
-    return DerivTable(power, max_order, tuple(rows))
+        return (*row, prev[-1]) if level % 2 == 0 else tuple(row)
+
+    return accumulate(range(1, max_order + 1), next_row, initial=(one,))
+
+
+def build_deriv_table(power: int, max_order: int) -> DerivTable:
+    """Fill the coefficient table for cos^power up to the given level."""
+    return DerivTable(power, max_order, tuple(deriv_rows(power, max_order)))
 
 
 def cos_power_derivative(power: int, order: int, x: float) -> float:
@@ -90,18 +97,13 @@ def cos_power_derivative(power: int, order: int, x: float) -> float:
         raise ValueError(f"order must be nonnegative, got {order}")
     if order == 0:
         return math.cos(x) ** power
-    if order >= power:
-        raise UnsupportedRange(
-            f"order {order} >= power {power} is outside the table recursion; "
-            "use symbolic_derivative"
-        )
-    table = build_deriv_table(power, order)
+    row = deque(deriv_rows(power, order), maxlen=1).pop()
     c, s = math.cos(x), math.sin(x)
     try:
         # |cos|, |sin| <= 1: only a coefficient's float conversion or the sum overflows
         return math.fsum(
-            (-1) ** n1 * coeff * c ** (power - n1 + n2) * s ** (n1 - n2)
-            for (n1, n2), coeff in table.level(order)
+            (-1) ** (order - n2) * coeff * c ** (power - order + 2 * n2) * s ** (order - 2 * n2)
+            for n2, coeff in enumerate(row)
         )
     except OverflowError:
         msg = f"order {order} derivative of cos^{power} at x={x} exceeds float range"
@@ -272,10 +274,21 @@ def derivative_at_zero(power: int, order: int) -> Fraction:
     return (-1) ** ell * diagonal_closed_form(power, ell)
 
 
+def deriv_csv_lines(power: int, rows):
+    """CSV lines j,n1,n2,value of rows from deriv_rows: the header, then one chunk a row."""
+    yield "j,n1,n2,value\n"
+    for level, row in enumerate(rows):
+        yield "".join(f"{power},{level - n2},{n2},{value}\n" for n2, value in enumerate(row))
+
+
+def _join_exact(chunks) -> str:
+    """The chunks as one string; an int past the str() digit limit raises UnsupportedRange."""
+    try:
+        return "".join(chunks)
+    except ValueError as exc:  # sys.get_int_max_str_digits()
+        raise UnsupportedRange(f"{exc}; the CLI prints such tables exactly") from None
+
+
 def table_to_csv(table: DerivTable) -> str:
     """CSV export: columns j, n1, n2, value with exact decimal strings."""
-    lines = ["j,n1,n2,value"]
-    for order in range(table.max_order + 1):
-        for (n1, n2), value in table.level(order):
-            lines.append(f"{table.power},{n1},{n2},{value}")
-    return "\n".join(lines) + "\n"
+    return _join_exact(deriv_csv_lines(table.power, table.rows))

@@ -1,6 +1,7 @@
 import math
 import sys
 import time
+from decimal import MAX_PREC, Context, Decimal, Inexact, Rounded, localcontext
 from fractions import Fraction
 
 import pytest
@@ -8,9 +9,11 @@ import pytest
 import spherekernel.asymptotics as asymptotics
 from spherekernel.asymptotics import (
     _PAIRINGS_OVERFLOW_ELL,
+    LeadingCoeffTable,
     asymptotic_ratio,
     build_leading_table,
     even_binomial_sum,
+    leading_rows,
     leading_table_to_csv,
     limit_constant_report,
     odd_binomial_sum,
@@ -197,3 +200,26 @@ def test_csv_exports():
     assert "1,even,2,2.0" in text
     table_text = leading_table_to_csv(build_leading_table(2))
     assert "2,1,3" in table_text.splitlines()
+
+
+def test_leading_csv_past_int_digit_limit_is_unsupported_range():
+    table = LeadingCoeffTable(1, ((1,), (1, 10**5000)))
+    old_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(UnsupportedRange, match="4300 digits"):
+            leading_table_to_csv(table)
+    finally:
+        sys.set_int_max_str_digits(old_limit)
+
+
+def test_leading_rows_check_eagerly_and_match_the_table():
+    with pytest.raises(ValueError):
+        leading_rows(0)
+    table = build_leading_table(60)
+    assert tuple(leading_rows(60)) == table.rows
+    # Decimal cells are exact only in a context with room for every digit
+    with localcontext(Context(prec=MAX_PREC, traps=[Inexact, Rounded])):
+        decimal_rows = tuple(leading_rows(60, Decimal(1)))
+    assert all(isinstance(v, Decimal) for row in decimal_rows for v in row)
+    assert decimal_rows == table.rows

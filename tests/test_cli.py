@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -98,6 +99,137 @@ def test_table_outputs_come_in_row_order_with_exact_cells(capsys, fmt):
         (n1, n2) for n1 in range(41) for n2 in range(n1 + 1)
     ]
     assert all(value == leading.cell(n1, n2) for n1, n2, value in got)
+
+
+@pytest.mark.parametrize(
+    "argv, sha1",
+    [
+        (["btable", "--j", "600", "--order", "300"], "f3eb440232c9e7ce885dd8e4db9072241e665fef"),
+        (["btable", "--j", "600", "--order", "300", "--format", "csv"],
+         "6a29b9aad6f5997441d157b4e8852eccfe3c13ec"),
+        (["ctable", "--max-n", "400"], "9fc8909c216076ef8c564b5bb0d4f32976e2ef75"),
+        (["ctable", "--max-n", "400", "--format", "csv"],
+         "28aaaedab2e89065f9fed7bb32a6d9d47b0cda90"),
+    ],
+    ids=["btable-json", "btable-csv", "ctable-json", "ctable-csv"],
+)
+def test_streamed_tables_are_byte_identical_to_whole_documents(capsys, argv, sha1):
+    # digests of the output when each table was built, then serialized whole
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha1(out.encode()).hexdigest() == sha1
+
+
+@pytest.mark.parametrize("power, order", [(2, 1), (6, 3), (9, 8), (40, 30)])
+def test_btable_json_is_json_dumps_of_the_cells(capsys, power, order):
+    table = derivatives.build_deriv_table(power, order)
+    cells = [
+        {"n1": n1, "n2": n2, "value": str(value)}
+        for level in range(order + 1)
+        for (n1, n2), value in table.level(level)
+    ]
+    expected = json.dumps({"j": power, "max_order": order, "cells": cells}, sort_keys=True)
+    code, out, _ = run_cli(capsys, "btable", "--j", str(power), "--order", str(order))
+    assert code == 0 and out == expected + "\n"
+
+
+@pytest.mark.parametrize("max_n", [1, 2, 7, 40])
+def test_ctable_json_is_json_dumps_of_the_cells(capsys, max_n):
+    table = asymptotics.build_leading_table(max_n)
+    cells = [
+        {"n1": n1, "n2": n2, "value": str(value)}
+        for n1, row in enumerate(table.rows)
+        for n2, value in enumerate(row)
+    ]
+    expected = json.dumps({"max_n": max_n, "cells": cells}, sort_keys=True)
+    code, out, _ = run_cli(capsys, "ctable", "--max-n", str(max_n))
+    assert code == 0 and out == expected + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["btable", "--j", "30", "--order", "20"], ["ctable", "--max-n", "25"]],
+    ids=["btable", "ctable"],
+)
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_output_file_holds_the_stdout_bytes(tmp_path, capsys, argv, fmt):
+    target = tmp_path / "table.out"
+    code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 0
+    code, quiet, _ = run_cli(capsys, *argv, "--format", fmt, "--output", str(target))
+    assert code == 0 and quiet == ""
+    assert target.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, error",
+    [
+        (["btable", "--j", "5", "--order", "0"], 2, "UsageError"),
+        (["btable", "--j", "5", "--order", "5"], 1, "UnsupportedRange"),
+        (["btable", "--j", "5", "--order", "9"], 1, "UnsupportedRange"),
+        (["ctable", "--max-n", "0"], 2, "UsageError"),
+    ],
+    ids=["order-zero", "order-at-power", "order-above-power", "max-n-zero"],
+)
+def test_bad_table_arguments_write_no_output_file(tmp_path, capsys, argv, exit_code, error):
+    target = tmp_path / "table.json"
+    try:
+        code = main([*argv, "--output", str(target)])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == exit_code and captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == error
+    assert not target.exists()
+
+
+_HUGE_J = 10**30
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_btable_prints_cells_past_the_int_digit_limit(capsys, fmt):
+    # T[145, 0] = j!/(j - 145)! has 4,351 digits, past CPython's default
+    # limit of 4,300 for int <-> str conversion
+    code, out, err = run_cli(
+        capsys, "btable", "--j", str(_HUGE_J), "--order", "145", "--format", fmt
+    )
+    assert code == 0 and err == ""
+    if fmt == "json":
+        cells = json.loads(out)["cells"]
+        edge = next(c["value"] for c in cells if (c["n1"], c["n2"]) == (145, 0))
+    else:
+        edge = next(
+            line.split(",")[3] for line in out.splitlines() if line.startswith(f"{_HUGE_J},145,0,")
+        )
+    old_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert int(edge) == math.perm(_HUGE_J, 145)
+    finally:
+        sys.set_int_max_str_digits(old_limit)
+
+
+def test_btable_peak_memory_stays_small():
+    # a guard against going back to building the whole document in memory:
+    # the table holds about 84 MB that way, the streamed rows about 17 MB
+    pytest.importorskip("resource")
+    src = str(Path(spherekernel.__file__).resolve().parents[1])
+    probe = (
+        "import resource, subprocess, sys\n"
+        "argv = [sys.executable, '-m', 'spherekernel.cli', 'btable', '--j', '600', '--order', '300']\n"
+        "done = subprocess.run(argv, stdout=subprocess.DEVNULL)\n"
+        "peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+        "print(done.returncode, peak if sys.platform == 'darwin' else peak * 1024)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    code, peak_bytes = map(int, done.stdout.split())
+    assert code == 0
+    assert peak_bytes < 40 * 2**20, f"btable peaked at {peak_bytes / 2**20:.1f} MB"
 
 
 def test_classify_powerlaw(capsys):

@@ -1,4 +1,6 @@
 import math
+import sys
+from decimal import MAX_PREC, Context, Decimal, Inexact, Rounded, localcontext
 from fractions import Fraction
 
 import pytest
@@ -6,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from spherekernel.asymptotics import build_leading_table
 from spherekernel.derivatives import (
+    DerivTable,
     SinCosPoly,
     _diagonal_polynomial,
     build_deriv_table,
     cos_power_derivative,
+    deriv_rows,
     derivative_at_zero,
     diagonal_closed_form,
     symbolic_derivative,
@@ -47,6 +51,23 @@ def test_table_rejects_order_reaching_power():
         build_deriv_table(1, 1)
     with pytest.raises(ValueError):
         build_deriv_table(0, 1)
+
+
+def test_deriv_rows_check_eagerly_and_match_the_table():
+    # the checks run when deriv_rows is called, before any row is asked for
+    with pytest.raises(UnsupportedRange):
+        deriv_rows(4, 4)
+    with pytest.raises(ValueError):
+        deriv_rows(0, 1)
+    with pytest.raises(ValueError):
+        deriv_rows(5, 0)
+    table = build_deriv_table(60, 45)
+    assert tuple(deriv_rows(60, 45)) == table.rows
+    # Decimal cells are exact only in a context with room for every digit
+    with localcontext(Context(prec=MAX_PREC, traps=[Inexact, Rounded])):
+        decimal_rows = tuple(deriv_rows(60, 45, Decimal(1)))
+    assert all(isinstance(v, Decimal) for row in decimal_rows for v in row)
+    assert decimal_rows == table.rows
 
 
 @pytest.mark.parametrize(
@@ -191,3 +212,14 @@ def test_table_csv_export():
     assert "4,2,0,12" in lines
     assert "4,1,1,4" in lines
     assert len(lines) == 5
+
+
+def test_table_csv_past_int_digit_limit_is_unsupported_range():
+    table = DerivTable(4, 1, ((1,), (10**5000,)))
+    old_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(UnsupportedRange, match="4300 digits"):
+            table_to_csv(table)
+    finally:
+        sys.set_int_max_str_digits(old_limit)
