@@ -67,7 +67,6 @@ from functools import reduce
 from itertools import accumulate, islice, repeat
 from operator import mul, sub, truediv
 
-from .asymptotics import build_leading_table
 from .derivatives import _diagonal_polynomial, _horner
 from .errors import DivergentSeries, ToleranceUnreachable
 from .kernels import _cosine, _hilbert_sum, _prefix
@@ -328,9 +327,9 @@ def derivative_at_zero_series(
     Each term contributes a_m * (-1)^ell * diag(m, ell) where diag is the
     diagonal magnitude, evaluated exactly from its moment polynomial (an
     integer polynomial of degree ell in m), so M terms cost O(M * ell).
-    diag(m, ell) <= g[ell, ell] * m^ell with g the diagonal growth
-    coefficient, so a certified weighted tail bound scaled by g[ell, ell]
-    controls truncation.
+    diag(m, ell) <= g[ell, ell] * m^ell, with the diagonal growth coefficient
+    g[ell, ell] = (2 ell - 1)!! the polynomial's leading coefficient, so a
+    certified weighted tail bound scaled by g[ell, ell] controls truncation.
     """
     if ell < 1:
         raise ValueError(f"ell must be positive, got {ell}")
@@ -339,9 +338,8 @@ def derivative_at_zero_series(
             f"phi^({2 * ell})(0) does not exist: sum a_m m^{ell} diverges "
             f"for {model!r}"
         )
-    growth = build_leading_table(ell).cell(ell, ell)
-    cutoff = truncation_index(model, ell, tol / growth)
     highest_first = _diagonal_polynomial(ell)[::-1]
+    cutoff = truncation_index(model, ell, tol / highest_first[0])
     coeffs = ((m, term(model, m)) for m in range(1, cutoff))
     total = math.fsum(a * float(_horner(highest_first, m)) for m, a in coeffs if a)
     return (-1) ** ell * total

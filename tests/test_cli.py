@@ -381,11 +381,12 @@ def _assert_one_line_usage_error(capsys, exc):
         ["classify", "--model", _GEOMETRIC, "--ell-max", "-1"],
         _eval_argv('{"variant":"finite","terms":"12"}'),
         _eval_argv('{"a":' + "[" * 200_000),
+        ["eval", "--sphere", str(10**400), "--theta", "1", "--model", _GEOMETRIC],
     ],
     ids=["nan", "infinity", "huge-integer", "overflowing-mass", "tol-nan",
          "tol-inf", "tol-negative", "max-index-negative", "js-zero", "ell-zero",
          "order-zero", "max-n-zero", "ell-max-negative", "finite-terms-string",
-         "deeply-nested"],
+         "deeply-nested", "sphere-beyond-float"],
 )
 def test_non_finite_model_field_is_usage_error(capsys, argv):
     # bad model fields, bad tolerances and library argument errors all
@@ -410,14 +411,14 @@ def test_scaled_sum_beyond_float_range_is_domain_error(capsys):
     assert json.loads(lines[0])["error"] == "UnsupportedRange"
 
 
-def test_huge_sphere_dimension_is_domain_error(capsys):
-    code, out, err = run_cli(
-        capsys, "eval", "--sphere", str(10**12), "--theta", "1", "--model", _GEOMETRIC
-    )
-    assert code == 1 and out == ""
-    lines = err.strip().splitlines()
-    assert len(lines) == 1
-    assert json.loads(lines[0])["error"] == "UnsupportedRange"
+def test_huge_sphere_dimension_is_near_the_hilbert_sphere(capsys):
+    # S^d tends to the Hilbert sphere as d grows, without overflow
+    args = ("eval", "--theta", "1", "--model", _GEOMETRIC, "--sphere")
+    code, out, err = run_cli(capsys, *args, str(10**12))
+    assert code == 0 and err == ""
+    code, hilbert, _ = run_cli(capsys, *args, "inf")
+    assert code == 0
+    assert json.loads(out)["phi"][0] == pytest.approx(json.loads(hilbert)["phi"][0], abs=1e-11)
 
 
 def test_env_var_overrides_default_tolerance(capsys, monkeypatch):

@@ -1,8 +1,10 @@
+import hashlib
 import math
 import random
 import sys
 import threading
 from array import array
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import mpmath
@@ -12,7 +14,7 @@ import scipy.special
 from hypothesis import given, settings, strategies as st
 
 from spherekernel import kernels
-from spherekernel.errors import DimensionMismatch, UnsupportedRange
+from spherekernel.errors import DimensionMismatch
 from spherekernel.kernels import (
     KernelSpec,
     UnitVector,
@@ -100,20 +102,22 @@ def test_gegenbauer_domain_checks():
     assert gegenbauer_normalized(3, 0.5, 1.0 + 1e-13) == pytest.approx(1.0, abs=1e-11)
 
 
-def test_huge_sphere_dimension_is_unsupported_not_nan():
-    # both Gegenbauer recurrences overflow and their quotient was NaN
+def test_huge_sphere_dimension_tends_to_the_hilbert_sphere():
+    # g_k -> t^k as lam grows, so S^d approaches the Hilbert sphere like
+    # 1/d, and |g_k| <= 1 keeps every d up to the float range finite
     model = Geometric(1.0, 0.5)
-    assert phi_eval_d(KernelSpec(10**9, model), 1.0) == 1.3701467141967678
-    with pytest.raises(UnsupportedRange):
-        phi_eval_d(KernelSpec(10**11, model), 1.0)
-    assert 0.0 < gegenbauer_normalized(40, (10**6 - 1) / 2, 0.5) < 1.0
-    with pytest.raises(UnsupportedRange):
-        gegenbauer_normalized(40, (10**12 - 1) / 2, 0.5)
+    hilbert = phi_eval_inf(model, 1.0)
+    assert hilbert == 1.3701467146520903
+    assert phi_eval_d(KernelSpec(10**11, model), 1.0) == 1.3701467146475372
+    for d in (10**9, 10**11, 10**13):
+        assert 0.0 < (hilbert - phi_eval_d(KernelSpec(d, model), 1.0)) * d < 1.0
+    assert abs(phi_eval_d(KernelSpec(10**300, model), 1.0) - hilbert) <= 1e-15
+    assert gegenbauer_normalized(40, (10**12 - 1) / 2, 0.5) == pytest.approx(0.5**40, rel=1e-8)
 
 
 def _reference_gegenbauer_sum(coeffs, lam, t):
-    # the recurrences at t and at 1 run side by side, as before the
-    # normalizers were tabulated once per lam
+    # the recurrences of C_k^lam at t and at 1 run side by side and divide;
+    # at lam = 1/2 the normalizers are 1.0 exactly
     if not coeffs:
         return 0.0
     total = coeffs[0]
@@ -129,16 +133,31 @@ def _reference_gegenbauer_sum(coeffs, lam, t):
         n_prev, n_cur = n_cur, n_next
         if coeffs[k]:
             total += coeffs[k] * (c_cur / n_cur)
-    if not math.isfinite(total):
-        raise UnsupportedRange(f"lam = {lam}")
     return total
 
 
-def _outcome(fn, *args):
-    try:
-        return repr(fn(*args))
-    except UnsupportedRange:
-        return "UnsupportedRange"
+def _decimal_gegenbauer_sum(coeffs, lam, t):
+    """sum_k coeffs[k] C_k^lam(t) / C_k^lam(1) in 30-digit decimal arithmetic,
+    through C_k^lam(t) = ((k + lam - 1) 2t C_{k-1} - (k + 2 lam - 2) C_{k-2}) / k
+    and C_k^lam(1) = C_{k-1}^lam(1) (k + 2 lam - 1) / k, with C_k^lam(1) > 0.
+    lam = inf sums coeffs[k] t^k, the limit of the normalized polynomials.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 30
+        x = Decimal(t)
+        if lam == math.inf:
+            total = Decimal(0)
+            for a in reversed(coeffs):
+                total = total * x + Decimal(a)
+            return float(total)
+        lam = Decimal(lam)
+        c_prev, c_cur, n_cur = Decimal(1), 2 * lam * x, 2 * lam
+        total = Decimal(coeffs[0]) + Decimal(coeffs[1]) * x
+        for k, a in enumerate(coeffs[2:], 2):
+            c_prev, c_cur = c_cur, ((k + lam - 1) * 2 * x * c_cur - (k + 2 * lam - 2) * c_prev) / k
+            n_cur = n_cur * (k + 2 * lam - 1) / k
+            total += Decimal(a) * c_cur / n_cur
+        return float(total)
 
 
 @pytest.mark.parametrize(
@@ -150,69 +169,41 @@ def test_gegenbauer_sum_equals_simultaneous_recurrence_reference(model, tol):
     coeffs = coefficient_prefix(model, tol)
     rng = random.Random(f"{model}:{tol}")
     thetas = [0.0, math.pi] + [rng.uniform(0.0, math.pi) for _ in range(5)]
-    outcomes = set()
-    # (10**200 - 1) / 2 overflows both recurrences at degree 2, so every
-    # prefix here raises at it; (10**11 - 1) / 2 raises for the longer ones
-    for lam in (0.5, 1.0, 1.5, 3.0, (10**9 - 1) / 2, (10**11 - 1) / 2, (10**200 - 1) / 2):
-        for theta in thetas:
-            t = math.cos(theta)
-            want = _outcome(_reference_gegenbauer_sum, coeffs, lam, t)
-            assert _outcome(kernels._gegenbauer_sum, coeffs, lam, t) == want
-            outcomes.add(want)
-    assert "UnsupportedRange" in outcomes
+    # the rounding of M terms of |value| <= 1 each
+    bound = 4 * len(coeffs) * 2.0**-53 * math.fsum(coeffs)
+    for theta in thetas:
+        t = math.cos(theta)
+        # the Legendre loop is unchanged, bit for bit
+        assert kernels._gegenbauer_sum(coeffs, 0.5, t) == _reference_gegenbauer_sum(coeffs, 0.5, t)
+        for lam in (1.0, 1.5, 3.0, (10**9 - 1) / 2, (10**11 - 1) / 2):
+            want = _decimal_gegenbauer_sum(coeffs, lam, t)
+            assert abs(kernels._gegenbauer_sum(coeffs, lam, t) - want) <= bound, (lam, theta)
+        # this lam overflowed both unnormalized recurrences; here g_k = t^k
+        got = kernels._gegenbauer_sum(coeffs, (10**200 - 1) / 2, t)
+        assert abs(got - _decimal_gegenbauer_sum(coeffs, math.inf, t)) <= bound, theta
 
 
-class _CountingDict(dict):
-    """Table cache that counts how often tables are published to it."""
-
-    def __init__(self):
-        super().__init__()
-        self.builds = 0
-
-    def __setitem__(self, key, value):
-        self.builds += 1
-        super().__setitem__(key, value)
-
-
-def test_recurrence_tables_are_built_once_per_lam_and_bounded(monkeypatch):
-    cache = _CountingDict()
-    monkeypatch.setattr(kernels, "_tables", cache)
-    spec = KernelSpec(4, PowerLaw(1.0, 3.5))
-    for theta in (0.0, 0.3, 1.1, 2.0, math.pi):
-        phi_eval_d(spec, theta, 1e-5)
-    assert cache.builds == 1
-    tables = cache[1.5]
-
-    # a shorter prefix reuses the tables
-    phi_eval_d(KernelSpec(4, Geometric(1.0, 0.5)), 0.7, 1e-5)
-    assert cache.builds == 1 and cache[1.5] is tables
-
-    # a longer one rebuilds them, with the same leading entries
-    phi_eval_d(spec, 0.7, 1e-10)
-    assert cache.builds == 2
-    longer = cache[1.5]
-    assert len(longer[0]) > len(tables[0])
-    for new, old in zip(longer, tables):
-        assert new[: len(old)] == old
-
-    for d in range(5, 5 + kernels._TABLE_LAMS + 3):
-        phi_eval_d(KernelSpec(d, Geometric(1.0, 0.5)), 0.7, 1e-5)
-    assert len(cache) == kernels._TABLE_LAMS
+def test_s2_values_are_pinned_bit_for_bit():
+    # the Legendre path: every repr over a grid of models, tolerances and angles
+    models = [Geometric(1.0, r) for r in (0.5, 0.9, 0.99)]
+    models += [PoissonType(c) for c in (2.0, 50.0)]
+    models += [PowerLaw(1.0, p) for p in (3.5, 4.5, 7.0)]
+    values = [
+        repr(phi_eval_d(KernelSpec(2, model), k * math.pi / 64, tol))
+        for model in models
+        for tol in (1e-5, 1e-10)
+        for k in range(65)
+    ]
+    digest = hashlib.sha1("\n".join(values).encode()).hexdigest()
+    assert digest == "089471886e9f3247357554d571aa0fecfa7ab1d7"
 
 
-def test_recurrence_tables_under_concurrent_builds(monkeypatch):
-    # more threads than cores and more lam than the cache holds, so builds,
-    # publications and evictions interleave
-    monkeypatch.setattr(kernels, "_tables", {})
+def test_recurrence_tables_under_concurrent_builds():
+    # more threads than cores over many lam, so the prefix cache and the
+    # sums interleave; every value matches its single-threaded one
     model = PowerLaw(1.0, 3.5)
-    t = math.cos(0.7)
-    dims = range(2, 2 + kernels._TABLE_LAMS + 4)
-    prefix = kernels._coefficient_prefix(model, 1e-5)
-    # each sphere sums the prefix up to its own cutoff at this angle
-    want = {
-        d: _reference_gegenbauer_sum(kernels._angle_prefix(prefix, d, t, 1e-5), (d - 1) / 2.0, t)
-        for d in dims
-    }
+    dims = range(2, 14)
+    want = {d: phi_eval_d(KernelSpec(d, model), 0.7, 1e-5) for d in dims}
     got, errors = [], []
 
     def worker(offset):
@@ -236,7 +227,6 @@ def test_recurrence_tables_under_concurrent_builds(monkeypatch):
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     assert len(got) == 160 and all(value == want[d] for d, value in got)
-    assert len(kernels._tables) <= kernels._TABLE_LAMS
 
 
 def _mp_normalized_gegenbauer(lam, t, count):
@@ -353,7 +343,7 @@ def _full_prefix_sum(model, dimension, theta, tol):
         return total
     if dimension == 1:
         return math.fsum(a * math.cos(k * theta) for k, a in enumerate(coeffs))
-    return _reference_gegenbauer_sum(coeffs, (dimension - 1) / 2.0, math.cos(theta))
+    return kernels._gegenbauer_sum(coeffs, (dimension - 1) / 2.0, math.cos(theta))
 
 
 @pytest.mark.parametrize("dimension", [None, 1, 2, 3, 4, 5])
@@ -456,7 +446,9 @@ def test_phi_eval_dispatch_and_spec_checks():
         KernelSpec(0, model)
 
 
-@pytest.mark.parametrize("dimension", [2.5, 3.0, True, False, "2", -1])
+@pytest.mark.parametrize(
+    "dimension", [2.5, 3.0, True, False, "2", -1, pytest.param(10**400, id="10**400")]
+)
 def test_kernel_spec_requires_integer_dimension(dimension):
     with pytest.raises(ValueError):
         KernelSpec(dimension, Geometric(0.5, 0.5))
