@@ -175,7 +175,7 @@ def limit_constant_report(ell: int, sample_js=(256, 512, 1024, 2048)) -> dict:
     """
     even = trace_convergence(ell, "even", sample_js)
     odd = trace_convergence(ell, "odd", sample_js)
-    diag_growth = build_leading_table(ell).cell(ell, ell)
+    diag_growth = _diagonal_polynomial(ell)[-1]  # g[ell, ell] = (2 ell - 1)!!
     return {
         "ell": ell,
         "even_constant": even.estimated_constant,

@@ -217,35 +217,45 @@ def diagonal_closed_form(power: int, ell: int) -> Fraction:
 
 
 @lru_cache(maxsize=32)
-def _diagonal_polynomial(ell: int) -> tuple[int, ...]:
-    """Integer coefficients c_0..c_ell with diag(m, ell) = sum_k c_k m^k.
+def _even_block_counts(ell: int) -> tuple[int, ...]:
+    """N(2 ell, k) for k = 0..ell: partitions of 2 ell items into k even blocks.
 
     diag(m, ell) = diagonal_closed_form(m, ell)
                  = 2^(-m) sum_k C(m, k) (m - 2k)^(2 ell)
-    is the (2 ell)-th moment of a sum of m independent random signs, an
-    integer polynomial in m of degree ell with c_0 = 0 and leading
-    coefficient (2 ell - 1)!!.  It is interpolated exactly through
-    m = 0..ell in Newton forward-difference form,
+    is the (2 ell)-th moment of a sum S_m of m independent random signs.
+    Expanding S_m^(2 ell) over which signs the 2 ell factors pick, a term
+    survives the expectation exactly when every sign is picked an even
+    number of times, so
 
-        diag(m, ell) = sum_k Delta^k diag(0, ell) * C(m, k),
+        diag(m, ell) = sum_k N(2 ell, k) (m)_k,
 
-    and expanded in powers of m.
+    with (m)_k = m (m-1) ... (m-k+1).  Interpolating through m = 0..ell
+    (diag(0, ell) = 0) in Newton forward-difference form reads the counts
+    off as N(2 ell, k) = Delta^k diag(0, ell) / k!, an exact division.
     """
     values = [0] + [int(diagonal_closed_form(m, ell)) for m in range(1, ell + 1)]
-    diffs = []
+    counts = []
     while values:
-        diffs.append(values[0])
+        counts.append(values[0] // math.factorial(len(counts)))
         values = [b - a for a, b in zip(values, values[1:])]
-    # nested form d_0 + m/1 (d_1 + (m-1)/2 (d_2 + ...)), innermost first
-    poly = [Fraction(diffs[-1])]
+    return tuple(counts)
+
+
+@lru_cache(maxsize=32)
+def _diagonal_polynomial(ell: int) -> tuple[int, ...]:
+    """Integer coefficients c_0..c_ell with diag(m, ell) = sum_k c_k m^k.
+
+    diag(m, ell) is an integer polynomial in m of degree ell with c_0 = 0
+    and leading coefficient (2 ell - 1)!!, expanded from the falling
+    factorial form sum_k N(2 ell, k) (m)_k of _even_block_counts.
+    """
+    counts = _even_block_counts(ell)
+    # nested form N_0 + m (N_1 + (m-1) (N_2 + ...)), innermost first
+    poly = [counts[-1]]
     for k in range(ell - 1, -1, -1):
-        poly = [
-            (low - k * high) / (k + 1)
-            for low, high in zip([Fraction(0)] + poly, poly + [Fraction(0)])
-        ]
-        poly[0] += diffs[k]
-    assert all(c.denominator == 1 for c in poly), poly
-    return tuple(int(c) for c in poly)
+        poly = [low - k * high for low, high in zip([0] + poly, poly + [0])]
+        poly[0] += counts[k]
+    return tuple(poly)
 
 
 def _horner(highest_first: tuple[int, ...], m: int) -> int:

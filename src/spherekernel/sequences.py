@@ -10,7 +10,9 @@ never asymptotic estimates, so truncation points derived from them are
 safe for downstream reconstruction guarantees (0**0 = 1 throughout).
 
 A variant is one frozen dataclass holding its ``term``, certified
-``tail``, convergence limit ``max_weight`` and JSON name ``variant``.
+``tail``, convergence limit ``max_weight``, JSON name ``variant`` and
+``factorial_moment(k)``: the exact rational mu_k = sum_m a_m (m)_k,
+(m)_k = m (m-1) ... (m-k+1), where a closed form gives it, else None.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
+from fractions import Fraction
 from typing import ClassVar, Union, get_args
 
 from .errors import DivergentSeries, ToleranceUnreachable
@@ -64,6 +67,10 @@ class Finite:
     def tail(self, start: int, ell: int) -> float:
         return math.fsum(a * float(m ** ell) for m, a in enumerate(self.terms[start:], start))
 
+    def factorial_moment(self, k: int) -> None:
+        # an exact Fraction sum over the terms costs more than the float series
+        return None
+
 
 @dataclass(frozen=True)
 class Geometric:
@@ -100,6 +107,11 @@ class Geometric:
         q = r * ((m0 + 1.0) / m0) ** ell
         return head + self.term(m0) * float(m0 ** ell) / (1.0 - q)
 
+    def factorial_moment(self, k: int) -> Fraction:
+        # k-th derivative of c / (1 - r z) at z = 1
+        r = Fraction(self.r)
+        return Fraction(self.c) * math.factorial(k) * r ** k / (1 - r) ** (k + 1)
+
 
 @dataclass(frozen=True)
 class PowerLaw:
@@ -132,6 +144,10 @@ class PowerLaw:
         s = self.p - ell
         n0 = float(start + 1)
         return self.C * (n0 ** -s + n0 ** (1.0 - s) / (s - 1.0))
+
+    def factorial_moment(self, k: int) -> None:
+        # an integer combination of zeta values, which are not rational
+        return None
 
 
 @dataclass(frozen=True)
@@ -170,6 +186,10 @@ class PoissonType:
         head = math.fsum(self.term(m) * float(m ** ell) for m in range(head_start, m0))
         q = c / (m0 + 1.0) * (1.0 + 1.0 / m0) ** ell
         return head + self.term(m0) * float(m0 ** ell) / (1.0 - q)
+
+    def factorial_moment(self, k: int) -> Fraction:
+        # k-th derivative of exp(c (z - 1)) at z = 1; the mass is exactly 1
+        return Fraction(self.c) ** k
 
 
 SequenceModel = Union[Finite, Geometric, PowerLaw, PoissonType]

@@ -67,8 +67,8 @@ from functools import reduce
 from itertools import accumulate, islice, repeat
 from operator import mul, sub, truediv
 
-from .derivatives import _diagonal_polynomial, _horner
-from .errors import DivergentSeries, ToleranceUnreachable
+from .derivatives import _diagonal_polynomial, _even_block_counts, _horner
+from .errors import DivergentSeries, ToleranceUnreachable, UnsupportedRange
 from .kernels import _cosine, _hilbert_sum, _prefix
 from .sequences import (
     Finite,
@@ -322,14 +322,20 @@ def classify_d(model: SequenceModel, ell_max_probe: int = 6) -> SmoothnessReport
 def derivative_at_zero_series(
     model: SequenceModel, ell: int, tol: float = 1e-10
 ) -> float:
-    """phi^(2 ell)(0) as the termwise sum of cosine-power derivatives.
+    """phi^(2 ell)(0) = (-1)^ell sum_k N(2 ell, k) mu_k.
 
-    Each term contributes a_m * (-1)^ell * diag(m, ell) where diag is the
-    diagonal magnitude, evaluated exactly from its moment polynomial (an
-    integer polynomial of degree ell in m), so M terms cost O(M * ell).
-    diag(m, ell) <= g[ell, ell] * m^ell, with the diagonal growth coefficient
-    g[ell, ell] = (2 ell - 1)!! the polynomial's leading coefficient, so a
-    certified weighted tail bound scaled by g[ell, ell] controls truncation.
+    a_m cos^m contributes a_m (-1)^ell diag(m, ell), with the diagonal
+    magnitude diag(m, ell) = sum_k N(2 ell, k) (m)_k, where N(2 ell, k)
+    counts the partitions of 2 ell items into k blocks of even size; so
+    the factorial moments mu_k = sum_m a_m (m)_k carry the sum.  Where the
+    model gives each mu_k as an exact Fraction (Geometric, Poisson), the
+    result is that rational correctly rounded, in O(ell), and tol is only
+    validated.  Otherwise the series is summed termwise, diag(m, ell) read
+    off its integer moment polynomial, O(M * ell) for M terms; since
+    diag(m, ell) <= g[ell, ell] m^ell, with g[ell, ell] = (2 ell - 1)!! the
+    polynomial's leading coefficient, a certified weighted tail bound
+    scaled by g[ell, ell] controls truncation.  A value beyond float range
+    raises UnsupportedRange.
     """
     if ell < 1:
         raise ValueError(f"ell must be positive, got {ell}")
@@ -338,8 +344,22 @@ def derivative_at_zero_series(
             f"phi^({2 * ell})(0) does not exist: sum a_m m^{ell} diverges "
             f"for {model!r}"
         )
-    highest_first = _diagonal_polynomial(ell)[::-1]
-    cutoff = truncation_index(model, ell, tol / highest_first[0])
-    coeffs = ((m, term(model, m)) for m in range(1, cutoff))
-    total = math.fsum(a * float(_horner(highest_first, m)) for m, a in coeffs if a)
+    if not tol > 0.0:
+        raise ToleranceUnreachable(f"tolerance must be positive, got {tol}")
+    moments = [model.factorial_moment(k) for k in range(1, ell + 1)]
+    try:
+        if None not in moments:
+            # Fraction -> float is one correctly rounded int / int division
+            total = float(sum(map(mul, _even_block_counts(ell)[1:], moments)))
+        else:
+            highest_first = _diagonal_polynomial(ell)[::-1]
+            cutoff = truncation_index(model, ell, tol / highest_first[0])
+            coeffs = ((m, term(model, m)) for m in range(1, cutoff))
+            total = math.fsum(a * float(_horner(highest_first, m)) for m, a in coeffs if a)
+    except OverflowError:
+        total = math.inf
+    if math.isinf(total):
+        raise UnsupportedRange(
+            f"phi^({2 * ell})(0) of {model!r} exceeds float range"
+        )
     return (-1) ** ell * total

@@ -375,7 +375,10 @@ def check_classifier_weight_consistency() -> tuple[bool, str]:
 
 
 def check_derivative_series_vs_fd() -> tuple[bool, str]:
-    """Termwise derivative series at 0 matches 9-point finite differences.
+    """Derivative series at 0 matches 9-point finite differences.
+
+    The series is exact and rounded once for Geometric and Poisson
+    fixtures, and summed termwise for the others.
 
     Steps balance stencil truncation against rounding; the fourth
     derivative uses the cancellation-free difference evaluation of the

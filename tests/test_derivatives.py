@@ -2,6 +2,7 @@ import math
 import sys
 from decimal import MAX_PREC, Context, Decimal, Inexact, Rounded, localcontext
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from spherekernel.derivatives import (
     DerivTable,
     SinCosPoly,
     _diagonal_polynomial,
+    _even_block_counts,
     build_deriv_table,
     cos_power_derivative,
     deriv_rows,
@@ -173,6 +175,33 @@ def test_diagonal_polynomial_leading_coefficient_is_growth_constant():
         leading = _diagonal_polynomial(ell)[ell]
         assert leading == table.cell(ell, ell)
         assert leading == math.prod(range(1, 2 * ell, 2))
+
+
+@lru_cache(maxsize=None)
+def _partition_count(n, k):
+    # partitions of n items into k even blocks: the block holding the last
+    # item takes 2i - 1 of the other n - 1 items
+    if n == 0 or k == 0:
+        return int(n == k)
+    return sum(
+        math.comb(n - 1, 2 * i - 1) * _partition_count(n - 2 * i, k - 1)
+        for i in range(1, n // 2 + 1)
+    )
+
+
+def test_even_block_counts_match_the_partition_recurrence():
+    for ell in range(1, 13):
+        assert _even_block_counts(ell) == tuple(_partition_count(2 * ell, k) for k in range(ell + 1))
+        # N(2 ell, ell) counts the perfect matchings of 2 ell items
+        assert _even_block_counts(ell)[ell] == math.prod(range(1, 2 * ell, 2))
+
+
+def test_even_block_counts_expand_the_diagonal_over_falling_factorials():
+    for ell in range(1, 9):
+        counts = _even_block_counts(ell)
+        for m in range(1, 61):
+            value = sum(n * math.perm(m, k) for k, n in enumerate(counts))
+            assert value == diagonal_closed_form(m, ell), (ell, m)
 
 
 def test_derivative_at_zero():

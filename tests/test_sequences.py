@@ -1,7 +1,9 @@
 import json
 import math
 from dataclasses import fields
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -172,6 +174,30 @@ def test_poisson_terms_nonnegative_and_finite(c, m):
     value = term(PoissonType(c), m)
     assert value >= 0.0
     assert math.isfinite(value)
+
+
+@pytest.mark.parametrize(
+    "model, generating",
+    [
+        (Geometric(0.7, 0.9), lambda z: 0.7 / (1 - 0.9 * z)),
+        (Geometric(2.0, 0.0), lambda z: mpmath.mpf(2)),
+        (PoissonType(2.5), lambda z: mpmath.exp(2.5 * (z - 1))),
+        (PoissonType(0.0), lambda z: mpmath.mpf(1)),
+    ],
+)
+def test_factorial_moments_are_generating_function_derivatives(model, generating):
+    # mu_k = sum a_m (m)_k is the k-th derivative at z = 1 of sum a_m z^m,
+    # here by mpmath's numerical differentiation at 30 digits
+    with mpmath.workdps(30):
+        for k in range(6):
+            mu = model.factorial_moment(k)
+            assert isinstance(mu, Fraction)
+            assert abs(mu - Fraction(str(mpmath.diff(generating, 1, k)))) <= 1e-20 * max(1, mu)
+
+
+def test_factorial_moments_without_a_rational_closed_form_are_none():
+    for model in (Finite((1.0, 0.5)), PowerLaw(1.0, 4.5)):
+        assert all(model.factorial_moment(k) is None for k in range(4))
 
 
 @settings(max_examples=30)

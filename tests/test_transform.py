@@ -10,10 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 import spherekernel.derivatives as derivatives
 import spherekernel.kernels as kernels
+import spherekernel.sequences as sequences
 import spherekernel.transform as transform
 from spherekernel.asymptotics import build_leading_table
 from spherekernel.derivatives import _diagonal_polynomial, diagonal_closed_form
-from spherekernel.errors import DivergentSeries, ToleranceUnreachable
+from spherekernel.errors import DivergentSeries, ToleranceUnreachable, UnsupportedRange
 from spherekernel.kernels import phi_eval_inf
 from spherekernel.sequences import (
     Finite,
@@ -447,12 +448,71 @@ SERIES_MODELS = (
 )
 
 
+def _power_moment_derivative(model, ell):
+    # 50-digit phi^(2 ell)(0) from power moments sum_m a_m m^k in closed
+    # form (polylog for Geometric, Touchard polynomials for Poisson) and the
+    # monomial coefficients of diag(m, ell), pinned to the closed form in
+    # test_derivatives: the route of the benchmark oracle, with no
+    # factorial moment in it
+    with mpmath.workdps(50):
+        if isinstance(model, Geometric):
+            moment = lambda k: mpmath.mpf(model.c) * mpmath.polylog(-k, mpmath.mpf(model.r))
+        else:
+            moment = lambda k: mpmath.bell(k, mpmath.mpf(model.c))
+        coeffs = _diagonal_polynomial(ell)
+        value = mpmath.fsum(c * moment(k) for k, c in enumerate(coeffs) if c)
+        return float((-1) ** ell * value)
+
+
 @pytest.mark.parametrize("model", SERIES_MODELS)
 def test_derivative_series_equals_closed_form_reference(model):
+    # PowerLaw and Finite models sum termwise, bit for bit the reference;
+    # Geometric and Poisson values are exact rationals rounded once, so
+    # they equal the rounded 50-digit value, and the termwise reference
+    # lies within tol of them up to its own rounding (a few ulps)
+    exact = isinstance(model, (Geometric, PoissonType))
     for ell in (1, 2, 3):
         for tol in (1e-5, 1e-10):
             want = _reference_derivative_series(model, ell, tol)
-            assert derivative_at_zero_series(model, ell, tol) == want, (ell, tol)
+            got = derivative_at_zero_series(model, ell, tol)
+            if exact:
+                assert got == _power_moment_derivative(model, ell), (ell, tol)
+                assert abs(got - want) <= tol + 4 * math.ulp(got), (ell, tol)
+            else:
+                assert got == want, (ell, tol)
+
+
+def test_derivative_series_rounds_the_exact_value_correctly():
+    # the termwise sums gave -680490.0000000006 and -1912549.9999999993,
+    # 1.16 and 6.98 times tol away from the exact values
+    assert derivative_at_zero_series(Geometric(1.0, 0.9), 3, 1e-10) == -680490.0000000007
+    assert derivative_at_zero_series(PoissonType(50.0), 3, 1e-10) == -1912550.0
+
+
+@pytest.mark.parametrize(
+    "model, ell",
+    [
+        (Geometric(1e300, 0.999), 3),
+        (PoissonType(1e200), 3),
+        # 1e308 + 1.01e308: intermediate overflow in fsum
+        (Finite((0.0,) * 100 + (1e306, 1e306)), 1),
+    ],
+    ids=["geometric-exact", "poisson-exact", "finite-termwise"],
+)
+def test_derivative_series_beyond_float_range_is_unsupported_range(model, ell):
+    with pytest.raises(UnsupportedRange):
+        derivative_at_zero_series(model, ell)
+
+
+def test_large_intensity_poisson_derivative_reads_no_tail(monkeypatch):
+    # phi''(0) = -c exactly; the termwise path would sum about 2c terms
+    def refuse(*args):
+        raise AssertionError("the exact branch must not truncate")
+
+    monkeypatch.setattr(PoissonType, "tail", refuse)
+    monkeypatch.setattr(sequences, "truncation_index", refuse)
+    monkeypatch.setattr(transform, "truncation_index", refuse)
+    assert derivative_at_zero_series(PoissonType(1e6), 1, 1e-3) == -1e6
 
 
 def test_derivative_series_builds_polynomial_once(monkeypatch):
