@@ -35,7 +35,6 @@ from .errors import (
     ToleranceUnreachable,
     UnsupportedRange,
 )
-from .exact import binomial, falling_factorial
 from .kernels import (
     KernelSpec,
     PsdVerdict,

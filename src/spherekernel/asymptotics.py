@@ -19,8 +19,9 @@ The scaled central-binomial sums
 grow like j^ell; they tie the diagonal table cells to the smoothness
 classification, and this module measures their convergence empirically.
 They are diagonal magnitudes, even(j, ell) = diag(2j, ell) and
-4 odd(j, ell) = diag(2j - 1, ell), so every scaled sum is exact until
-its final rounding to a float.
+4 odd(j, ell) = diag(2j - 1, ell), so scaled_sum reads diag and is exact
+until its final rounding to a float; the defining sums serve as the
+verification oracle.
 """
 
 from __future__ import annotations
@@ -31,9 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .derivatives import _diagonal_polynomial, _horner, _join_exact, deriv_rows
+from .derivatives import _diagonal, _diagonal_polynomial, deriv_rows
 from .errors import UnsupportedRange
-from .exact import binomial
 
 # DBL_MAX < 2^1024, so a lower bound above 2^1025 overflows whatever the
 # rounding of its logarithm; (2 ell - 1)!!/4 > DBL_MAX from ell = 151 on
@@ -94,7 +94,7 @@ def even_binomial_sum(j: int, ell: int) -> Fraction:
     """Exact value of 2^(1-2j) sum_{n=1}^{j} (2n)^(2 ell) C(2j, j+n)."""
     if j < 1 or ell < 1:
         raise ValueError(f"j and ell must be positive, got j={j}, ell={ell}")
-    num = sum((2 * n) ** (2 * ell) * binomial(2 * j, j + n) for n in range(1, j + 1))
+    num = sum((2 * n) ** (2 * ell) * math.comb(2 * j, j + n) for n in range(1, j + 1))
     return Fraction(num, 2 ** (2 * j - 1))
 
 
@@ -103,7 +103,7 @@ def odd_binomial_sum(j: int, ell: int) -> Fraction:
     if j < 1 or ell < 1:
         raise ValueError(f"j and ell must be positive, got j={j}, ell={ell}")
     num = sum(
-        (2 * n - 1) ** (2 * ell) * binomial(2 * j - 1, j + n - 1)
+        (2 * n - 1) ** (2 * ell) * math.comb(2 * j - 1, j + n - 1)
         for n in range(1, j + 1)
     )
     return Fraction(num, 2 ** (2 * j))
@@ -112,13 +112,14 @@ def odd_binomial_sum(j: int, ell: int) -> Fraction:
 def scaled_sum(j: int, ell: int, parity: str) -> float:
     """sum(j, ell) / j^ell = diag(P, ell) / (s j^ell), rounded once to a float.
 
-    (P, s) = (2j, 1) for even and (2j - 1, 4) for odd.  diag is read off
-    the moment polynomial (ell + 1 terms) for j > ell, else off the
-    defining sum (j terms).  A value beyond float range raises
-    UnsupportedRange, up front where a lower bound shows it: with
-    diag(P, ell) = E[S^(2 ell)] for a sum S of P random signs, Jensen
-    gives (P/j)^ell / s, and for j > ell the matchings of ell distinct
-    signs give (2 ell - 1)!! P!/(P - ell)! / (s j^ell) >= (2 ell - 1)!!/4.
+    (P, s) = (2j, 1) for even and (2j - 1, 4) for odd.  diag comes from
+    derivatives: the moment polynomial (ell + 1 terms) where P > 2 ell,
+    that is j > ell, else the closed form (j terms).  A value beyond
+    float range raises UnsupportedRange, up front where a lower bound
+    shows it: with diag(P, ell) = E[S^(2 ell)] for a sum S of P random
+    signs, Jensen gives (P/j)^ell / s, and for j > ell the matchings of
+    ell distinct signs give
+    (2 ell - 1)!! P!/(P - ell)! / (s j^ell) >= (2 ell - 1)!!/4.
     """
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
@@ -129,13 +130,7 @@ def scaled_sum(j: int, ell: int, parity: str) -> float:
         jensen_log2 = ell * math.log2(power / j) - math.log2(scale)
         if jensen_log2 > _LOG2_FLOAT_LIMIT or j > ell >= _PAIRINGS_OVERFLOW_ELL:
             raise OverflowError
-        if j > ell:
-            exact = Fraction(_horner(_diagonal_polynomial(ell)[::-1], power), scale)
-        elif parity == "even":
-            exact = even_binomial_sum(j, ell)
-        else:
-            exact = odd_binomial_sum(j, ell)
-        return float(exact / Fraction(j) ** ell)
+        return float(Fraction(_diagonal(power, ell), scale) / Fraction(j) ** ell)
     except OverflowError:
         raise UnsupportedRange(
             f"scaled {parity} sum at j={j}, ell={ell} exceeds float range"
@@ -184,24 +179,3 @@ def limit_constant_report(ell: int, sample_js=(256, 512, 1024, 2048)) -> dict:
         "even_over_diagonal_growth": even.estimated_constant
         / (2 ** ell * diag_growth),
     }
-
-
-def traces_to_csv(traces) -> str:
-    """CSV export: columns ell, parity, j, scaled_value."""
-    lines = ["ell,parity,j,scaled_value"]
-    for trace in traces:
-        for j, value in zip(trace.sample_js, trace.scaled_values):
-            lines.append(f"{trace.ell},{trace.parity},{j},{value!r}")
-    return "\n".join(lines) + "\n"
-
-
-def leading_csv_lines(rows):
-    """CSV lines n1,n2,value of rows from leading_rows: the header, then one chunk a row."""
-    yield "n1,n2,value\n"
-    for n1, row in enumerate(rows):
-        yield "".join(f"{n1},{n2},{value}\n" for n2, value in enumerate(row))
-
-
-def leading_table_to_csv(table: LeadingCoeffTable) -> str:
-    """CSV export: columns n1, n2, value with exact decimal strings."""
-    return _join_exact(leading_csv_lines(table.rows))

@@ -66,6 +66,20 @@ def _table_json(fields: dict, rows, n1_of):
     yield "]" + tail + "\n"
 
 
+def _deriv_csv(power: int, rows):
+    """CSV lines j,n1,n2,value of rows from deriv_rows: the header, then one chunk a row."""
+    yield "j,n1,n2,value\n"
+    for level, row in enumerate(rows):
+        yield "".join(f"{power},{level - n2},{n2},{value}\n" for n2, value in enumerate(row))
+
+
+def _leading_csv(rows):
+    """CSV lines n1,n2,value of rows from leading_rows: the header, then one chunk a row."""
+    yield "n1,n2,value\n"
+    for n1, row in enumerate(rows):
+        yield "".join(f"{n1},{n2},{value}\n" for n2, value in enumerate(row))
+
+
 def _load_model(parser: argparse.ArgumentParser, raw: str) -> sequences.SequenceModel:
     text = raw.strip()
     if not text.startswith("{"):
@@ -120,7 +134,7 @@ def cmd_eval(parser, args) -> int:
 def cmd_btable(parser, args) -> int:
     rows = derivatives.deriv_rows(args.j, args.order, Decimal(1))
     if args.format == "csv":
-        chunks = derivatives.deriv_csv_lines(args.j, rows)
+        chunks = _deriv_csv(args.j, rows)
     else:
         chunks = _table_json({"j": args.j, "max_order": args.order}, rows, lambda n, n2: n - n2)
     _emit(chunks, args.output)
@@ -130,7 +144,7 @@ def cmd_btable(parser, args) -> int:
 def cmd_ctable(parser, args) -> int:
     rows = asymptotics.leading_rows(args.max_n, Decimal(1))
     if args.format == "csv":
-        chunks = asymptotics.leading_csv_lines(rows)
+        chunks = _leading_csv(rows)
     else:
         chunks = _table_json({"max_n": args.max_n}, rows, lambda n1, n2: n1)
     _emit(chunks, args.output)
@@ -147,7 +161,12 @@ def cmd_asymptotics(parser, args) -> int:
     parities = ("even", "odd") if args.parity == "both" else (args.parity,)
     traces = [asymptotics.trace_convergence(args.ell, p, js) for p in parities]
     if args.format == "csv":
-        _emit(asymptotics.traces_to_csv(traces), args.output)
+        lines = ["ell,parity,j,scaled_value"] + [
+            f"{tr.ell},{tr.parity},{j},{value!r}"
+            for tr in traces
+            for j, value in zip(tr.sample_js, tr.scaled_values)
+        ]
+        _emit("\n".join(lines) + "\n", args.output)
     else:
         payload = {
             "ell": args.ell,

@@ -34,7 +34,6 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .errors import UnsupportedRange
-from .exact import binomial
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,12 +205,12 @@ def diagonal_closed_form(power: int, ell: int) -> Fraction:
     if power % 2 == 0:
         j = power // 2
         num = sum(
-            2 * binomial(2 * j, k) * (2 * (j - k)) ** (2 * ell) for k in range(j)
+            2 * math.comb(2 * j, k) * (2 * (j - k)) ** (2 * ell) for k in range(j)
         )
         return Fraction(num, 2 ** (2 * j))
     j = (power + 1) // 2
     num = sum(
-        binomial(2 * j - 1, k) * (2 * j - 2 * k - 1) ** (2 * ell) for k in range(j)
+        math.comb(2 * j - 1, k) * (2 * j - 2 * k - 1) ** (2 * ell) for k in range(j)
     )
     return Fraction(num, 2 ** (2 * j - 2))
 
@@ -229,15 +228,18 @@ def _even_block_counts(ell: int) -> tuple[int, ...]:
 
         diag(m, ell) = sum_k N(2 ell, k) (m)_k,
 
-    with (m)_k = m (m-1) ... (m-k+1).  Interpolating through m = 0..ell
-    (diag(0, ell) = 0) in Newton forward-difference form reads the counts
-    off as N(2 ell, k) = Delta^k diag(0, ell) / k!, an exact division.
+    with (m)_k = m (m-1) ... (m-k+1).  The counts have the exponential
+    generating function (cosh x - 1)^k / k!, whose second derivative is
+    k^2 times itself plus (2k - 1) times the one for k - 1:
+
+        N(n + 2, k) = k^2 N(n, k) + (2k - 1) N(n, k - 1),   N(0, 0) = 1.
     """
-    values = [0] + [int(diagonal_closed_form(m, ell)) for m in range(1, ell + 1)]
-    counts = []
-    while values:
-        counts.append(values[0] // math.factorial(len(counts)))
-        values = [b - a for a, b in zip(values, values[1:])]
+    counts = [1]
+    for _ in range(ell):
+        counts = [
+            k * k * n + (2 * k - 1) * low
+            for k, (low, n) in enumerate(zip([0] + counts, counts + [0]))
+        ]
     return tuple(counts)
 
 
@@ -266,11 +268,23 @@ def _horner(highest_first: tuple[int, ...], m: int) -> int:
     return value
 
 
+def _diagonal(power: int, ell: int) -> int:
+    """diag(power, ell), the magnitude of d^(2 ell)/dx^(2 ell) cos^power at 0.
+
+    Above power 2 ell the cached degree-ell moment polynomial is evaluated
+    (ell + 1 terms); at or below it the closed form (power/2 terms) is,
+    which keeps small powers at large ell, such as (1, 10^9), instant.
+    """
+    if power > 2 * ell:
+        return _horner(_diagonal_polynomial(ell)[::-1], power)
+    return int(diagonal_closed_form(power, ell))
+
+
 def derivative_at_zero(power: int, order: int) -> Fraction:
     """Exact value of d^order/dx^order cos^power at x = 0.
 
     Odd orders vanish because cos^power is even; even orders 2*ell carry
-    the sign (-1)^ell on the closed-form diagonal magnitude.
+    the sign (-1)^ell on the diagonal magnitude diag(power, ell).
     """
     if power < 1:
         raise ValueError(f"power must be positive, got {power}")
@@ -281,24 +295,4 @@ def derivative_at_zero(power: int, order: int) -> Fraction:
     if order % 2 == 1:
         return Fraction(0)
     ell = order // 2
-    return (-1) ** ell * diagonal_closed_form(power, ell)
-
-
-def deriv_csv_lines(power: int, rows):
-    """CSV lines j,n1,n2,value of rows from deriv_rows: the header, then one chunk a row."""
-    yield "j,n1,n2,value\n"
-    for level, row in enumerate(rows):
-        yield "".join(f"{power},{level - n2},{n2},{value}\n" for n2, value in enumerate(row))
-
-
-def _join_exact(chunks) -> str:
-    """The chunks as one string; an int past the str() digit limit raises UnsupportedRange."""
-    try:
-        return "".join(chunks)
-    except ValueError as exc:  # sys.get_int_max_str_digits()
-        raise UnsupportedRange(f"{exc}; the CLI prints such tables exactly") from None
-
-
-def table_to_csv(table: DerivTable) -> str:
-    """CSV export: columns j, n1, n2, value with exact decimal strings."""
-    return _join_exact(deriv_csv_lines(table.power, table.rows))
+    return Fraction((-1) ** ell * _diagonal(power, ell))

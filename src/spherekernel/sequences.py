@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import ClassVar, Union, get_args
 
-from .errors import DivergentSeries, ToleranceUnreachable
+from .errors import DivergentSeries, ToleranceUnreachable, UnsupportedRange
 
 # Indices above this are never searched; parametric tails shrink far faster.
 _SEARCH_CAP = 1 << 26
@@ -36,14 +36,13 @@ def _require_finite(*fields: float) -> None:
 
 
 def _require_finite_mass(model: SequenceModel) -> None:
-    # finite fields can still certify a total beyond float range (c = 1e308);
+    # finite fields can still certify a total beyond float range (c = 1e308),
+    # a bad model field rather than a domain error of the later computation;
     # PoissonType needs no check, its mass is at most 1
     try:
-        mass = total_mass_bound(model)
-    except OverflowError:
-        mass = math.inf
-    if not math.isfinite(mass):
-        raise ValueError(f"model total mass must be finite, got {mass} for {model!r}")
+        total_mass_bound(model)
+    except UnsupportedRange:
+        raise ValueError(f"model total mass must be finite for {model!r}") from None
 
 
 @dataclass(frozen=True)
@@ -226,7 +225,8 @@ def weighted_tail_bound(model: SequenceModel, start: int, ell: int) -> TailBound
     Geometric and Poisson tails are capped by summing exact terms up to
     an index where the term ratio is provably below 1, then closing with
     a geometric series; power-law tails use the integral test.  Raises
-    DivergentSeries when no finite bound exists.
+    DivergentSeries when no finite bound exists, and UnsupportedRange when
+    the bound (say m**ell at large ell) is beyond float range.
     """
     if start < 0:
         raise ValueError(f"start index must be nonnegative, got {start}")
@@ -234,7 +234,15 @@ def weighted_tail_bound(model: SequenceModel, start: int, ell: int) -> TailBound
         raise DivergentSeries(
             f"sum of a_m * m^{ell} diverges for {model!r}; no truncation is valid"
         )
-    return TailBound(start, ell, model.tail(start, ell))
+    try:
+        bound = model.tail(start, ell)
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise UnsupportedRange(
+            f"tail bound of a_m * m^{ell} from {start} exceeds float range for {model!r}"
+        )
+    return TailBound(start, ell, bound)
 
 
 def total_mass_bound(model: SequenceModel) -> float:

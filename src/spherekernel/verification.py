@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import asymptotics, derivatives, kernels, sequences, transform
-from .exact import falling_factorial
 
 
 @dataclass(frozen=True)
@@ -154,16 +153,20 @@ def check_edge_cells() -> tuple[bool, str]:
     for power in range(2, 31):
         table = derivatives.build_deriv_table(power, power - 1)
         for n1 in range(power):
-            if table.cell(n1, 0) != falling_factorial(power, n1):
+            if table.cell(n1, 0) != math.perm(power, n1):
                 return False, f"power {power}, cell ({n1}, 0)"
     return True, "edge cells exact for powers up to 30"
 
 
 def check_binomial_sum_cross_identity() -> tuple[bool, str]:
-    """even(j, ell) = diag(2j, ell) and 4 odd(j, ell) = diag(2j-1, ell), exactly."""
+    """even(j, ell) = diag(2j, ell) and 4 odd(j, ell) = diag(2j-1, ell), exactly.
+
+    Covers 1 <= j <= 20 on both sides of j = ell, where scaled_sum switches
+    from the closed form to the moment polynomial.
+    """
     count = 0
     for ell in range(1, 20):
-        for j in range(ell + 1, 21):
+        for j in range(1, 21):
             if asymptotics.even_binomial_sum(j, ell) != derivatives.diagonal_closed_form(2 * j, ell):
                 return False, f"even j={j}, ell={ell}"
             if 4 * asymptotics.odd_binomial_sum(j, ell) != derivatives.diagonal_closed_form(2 * j - 1, ell):
@@ -264,8 +267,9 @@ def check_scaled_sum_shape() -> tuple[bool, str]:
 def check_scaled_sum_definition() -> tuple[bool, str]:
     """scaled_sum is the float nearest its defining sum over j^ell.
 
-    j in {1, 2, 5} reads the defining sum for some ell and the moment
-    polynomial for the others; 200 and 201 read the polynomial.
+    scaled_sum reads diag, the closed form for j <= ell and the moment
+    polynomial for j > ell: j = 1 meets only the closed form, 2 and 5
+    both, 200 and 201 only the polynomial.
     """
     sums = {"even": asymptotics.even_binomial_sum, "odd": asymptotics.odd_binomial_sum}
     for j, ell, parity in itertools.product((1, 2, 5, 200, 201), range(1, 6), sums):

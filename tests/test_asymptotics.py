@@ -6,21 +6,19 @@ from fractions import Fraction
 
 import pytest
 
-import spherekernel.asymptotics as asymptotics
+import spherekernel.derivatives as derivatives
 from spherekernel.asymptotics import (
     _PAIRINGS_OVERFLOW_ELL,
-    LeadingCoeffTable,
     asymptotic_ratio,
     build_leading_table,
     even_binomial_sum,
     leading_rows,
-    leading_table_to_csv,
     limit_constant_report,
     odd_binomial_sum,
     scaled_sum,
     trace_convergence,
-    traces_to_csv,
 )
+from spherekernel.cli import main
 from spherekernel.errors import UnsupportedRange
 
 
@@ -136,9 +134,9 @@ def test_scaled_sum_beyond_float_range_is_unsupported(monkeypatch):
     grid = [(2048, 151), (2048, 200), (300, 5000), (1, 5000), (10**5, 10**5),
             (2, 1100), (600, 1000), (140, 140)]
     degrees = []
-    build = asymptotics._diagonal_polynomial
+    build = derivatives._diagonal_polynomial
     monkeypatch.setattr(
-        asymptotics, "_diagonal_polynomial", lambda ell: degrees.append(ell) or build(ell)
+        derivatives, "_diagonal_polynomial", lambda ell: degrees.append(ell) or build(ell)
     )
     start = time.perf_counter()
     for j, ell in grid:
@@ -193,24 +191,13 @@ def test_limit_constant_report_shape():
     assert report["even_over_diagonal_growth"] == pytest.approx(1.0, rel=0.01)
 
 
-def test_csv_exports():
-    trace = trace_convergence(1, "even", [2, 3])
-    text = traces_to_csv([trace])
-    assert text.splitlines()[0] == "ell,parity,j,scaled_value"
-    assert "1,even,2,2.0" in text
-    table_text = leading_table_to_csv(build_leading_table(2))
-    assert "2,1,3" in table_text.splitlines()
-
-
-def test_leading_csv_past_int_digit_limit_is_unsupported_range():
-    table = LeadingCoeffTable(1, ((1,), (1, 10**5000)))
-    old_limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    try:
-        with pytest.raises(UnsupportedRange, match="4300 digits"):
-            leading_table_to_csv(table)
-    finally:
-        sys.set_int_max_str_digits(old_limit)
+def test_csv_exports(capsys):
+    # traces and leading tables export as CSV through the CLI only
+    assert main(["asymptotics", "--ell", "1", "--js", "2", "3", "--parity", "even",
+                 "--format", "csv"]) == 0
+    assert capsys.readouterr().out == "ell,parity,j,scaled_value\n1,even,2,2.0\n1,even,3,2.0\n"
+    assert main(["ctable", "--max-n", "2", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == "n1,n2,value\n0,0,1\n1,0,1\n1,1,1\n2,0,1\n2,1,3\n2,2,3\n"
 
 
 def test_leading_rows_check_eagerly_and_match_the_table():

@@ -411,6 +411,23 @@ def test_scaled_sum_beyond_float_range_is_domain_error(capsys):
     assert json.loads(lines[0])["error"] == "UnsupportedRange"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--model", _GEOMETRIC, "--ell-max", "400"],
+        ["classify", "--model", _GEOMETRIC, "--ell-max", "100", "--sphere", "2"],
+        ["classify", "--model", '{"variant":"poisson","c":3}', "--ell-max", "400"],
+    ],
+    ids=["geometric", "geometric-sphere", "poisson"],
+)
+def test_weighted_tail_beyond_float_range_is_domain_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "UnsupportedRange"
+
+
 def test_huge_sphere_dimension_is_near_the_hilbert_sphere(capsys):
     # S^d tends to the Hilbert sphere as d grows, without overflow
     args = ("eval", "--theta", "1", "--model", _GEOMETRIC, "--sphere")

@@ -1,5 +1,4 @@
 import math
-import sys
 from decimal import MAX_PREC, Context, Decimal, Inexact, Rounded, localcontext
 from fractions import Fraction
 from functools import lru_cache
@@ -7,9 +6,10 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import spherekernel.derivatives as derivatives
 from spherekernel.asymptotics import build_leading_table
+from spherekernel.cli import main
 from spherekernel.derivatives import (
-    DerivTable,
     SinCosPoly,
     _diagonal_polynomial,
     _even_block_counts,
@@ -19,7 +19,6 @@ from spherekernel.derivatives import (
     derivative_at_zero,
     diagonal_closed_form,
     symbolic_derivative,
-    table_to_csv,
 )
 from spherekernel.errors import UnsupportedRange
 
@@ -163,8 +162,12 @@ def test_diagonal_polynomial_matches_closed_form():
         assert len(coeffs) == ell + 1 and coeffs[0] == 0
         assert all(isinstance(c, int) for c in coeffs)
         for m in range(1, 301):
-            value = sum(c * m ** k for k, c in enumerate(coeffs))
-            assert value == diagonal_closed_form(m, ell), (ell, m)
+            closed = diagonal_closed_form(m, ell)
+            assert sum(c * m ** k for k, c in enumerate(coeffs)) == closed, (ell, m)
+            # derivative_at_zero reads the polynomial above m = 2 ell, the
+            # closed form at or below it
+            assert derivative_at_zero(m, 2 * ell) == (-1) ** ell * closed, (ell, m)
+            assert derivative_at_zero(m, 2 * ell + 1) == 0
 
 
 def test_diagonal_polynomial_leading_coefficient_is_growth_constant():
@@ -212,6 +215,18 @@ def test_derivative_at_zero():
     assert derivative_at_zero(6, 4) == diagonal_closed_form(6, 2)
 
 
+def test_derivative_at_zero_at_a_huge_power_skips_the_closed_form(monkeypatch):
+    # the closed form sums power/2 big binomials; at 10^6 it would run for hours
+    def refused(power, ell):
+        raise AssertionError(f"diagonal_closed_form({power}, {ell}) called")
+
+    monkeypatch.setattr(derivatives, "diagonal_closed_form", refused)
+    _even_block_counts.cache_clear()
+    _diagonal_polynomial.cache_clear()
+    # E[S^4] = 3 m^2 - 2 m for a sum S of m random signs
+    assert derivative_at_zero(10**6, 4) == 3 * 10**12 - 2 * 10**6
+
+
 def test_derivative_at_zero_matches_symbolic_oracle():
     for power in range(1, 8):
         for order in range(0, 9):
@@ -233,22 +248,7 @@ def test_closed_form_fractions_are_normalized():
         assert math.gcd(value.numerator, value.denominator) == 1
 
 
-def test_table_csv_export():
-    text = table_to_csv(build_deriv_table(4, 2))
-    lines = text.strip().splitlines()
-    assert lines[0] == "j,n1,n2,value"
-    assert "4,1,0,4" in lines
-    assert "4,2,0,12" in lines
-    assert "4,1,1,4" in lines
-    assert len(lines) == 5
-
-
-def test_table_csv_past_int_digit_limit_is_unsupported_range():
-    table = DerivTable(4, 1, ((1,), (10**5000,)))
-    old_limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    try:
-        with pytest.raises(UnsupportedRange, match="4300 digits"):
-            table_to_csv(table)
-    finally:
-        sys.set_int_max_str_digits(old_limit)
+def test_table_csv_export(capsys):
+    # exact tables export as CSV through the CLI only
+    assert main(["btable", "--j", "4", "--order", "2", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == "j,n1,n2,value\n4,0,0,1\n4,1,0,4\n4,2,0,12\n4,1,1,4\n"

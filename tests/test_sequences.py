@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spherekernel.errors import DivergentSeries, ToleranceUnreachable
+from spherekernel.errors import DivergentSeries, ToleranceUnreachable, UnsupportedRange
 from spherekernel.sequences import (
     _VARIANTS,
     Finite,
@@ -109,6 +109,23 @@ def test_overflowing_total_mass_rejected(make):
 def test_largest_finite_mass_accepted():
     assert total_mass_bound(Geometric(1e308, 0.4)) < math.inf
     assert total_mass_bound(Finite((1e308, 7e307))) < math.inf
+
+
+@pytest.mark.parametrize(
+    "model, ell",
+    [
+        (Geometric(1.0, 0.5), 400),
+        (PoissonType(3.0), 400),
+        (Finite((0.0,) * 999 + (1.0,)), 200),
+        (Finite((0.0, 0.0, 1e300)), 30),
+    ],
+    ids=["geometric", "poisson", "finite", "finite-infinite-sum"],
+)
+def test_weighted_tail_beyond_float_range_is_unsupported_range(model, ell):
+    # m**ell past float range (an OverflowError), or a_m m**ell (an infinite bound)
+    with pytest.raises(UnsupportedRange, match="float range"):
+        weighted_tail_bound(model, 0, ell)
+    assert math.isfinite(weighted_tail_bound(model, 0, 1).bound)
 
 
 def test_poisson_term_switches_to_log_domain_on_overflow():

@@ -13,7 +13,7 @@ import spherekernel.kernels as kernels
 import spherekernel.sequences as sequences
 import spherekernel.transform as transform
 from spherekernel.asymptotics import build_leading_table
-from spherekernel.derivatives import _diagonal_polynomial, diagonal_closed_form
+from spherekernel.derivatives import _diagonal_polynomial, _even_block_counts, diagonal_closed_form
 from spherekernel.errors import DivergentSeries, ToleranceUnreachable, UnsupportedRange
 from spherekernel.kernels import phi_eval_inf
 from spherekernel.sequences import (
@@ -516,21 +516,17 @@ def test_large_intensity_poisson_derivative_reads_no_tail(monkeypatch):
 
 
 def test_derivative_series_builds_polynomial_once(monkeypatch):
-    # the series evaluates diag(m, ell) from one cached polynomial, so a
-    # 7632-term sum asks the closed form only for its ell interpolation
-    # nodes; a per-term call fails at once instead of running for minutes
+    # the series evaluates diag(m, ell) from one cached polynomial, built
+    # from the block-count recurrence, so a 7632-term sum never asks the
+    # closed form; a per-term call fails at once instead of running for minutes
     model, ell, tol = PowerLaw(1.0, 3.5), 1, 1e-6
-    calls = []
-    closed_form = derivatives.diagonal_closed_form
 
-    def counted(power, order):
-        calls.append(power)
-        assert len(calls) <= ell, f"diagonal_closed_form called per term, at m = {power}"
-        return closed_form(power, order)
+    def refused(power, order):
+        raise AssertionError(f"diagonal_closed_form called at m = {power}")
 
-    monkeypatch.setattr(derivatives, "diagonal_closed_form", counted)
-    monkeypatch.setattr(transform, "diagonal_closed_form", counted, raising=False)
+    monkeypatch.setattr(derivatives, "diagonal_closed_form", refused)
+    monkeypatch.setattr(transform, "diagonal_closed_form", refused, raising=False)
+    _even_block_counts.cache_clear()
     _diagonal_polynomial.cache_clear()
     assert truncation_index(model, ell, tol) == 7632
     derivative_at_zero_series(model, ell, tol)
-    assert len(calls) <= ell
