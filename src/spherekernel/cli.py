@@ -6,6 +6,11 @@ are always serialized as decimal strings, never floats; btable and ctable
 stream rows of Decimal cells, since CPython's int -> str is quadratic and
 refuses ints past sys.get_int_max_str_digits().  Decimal prints in linear
 time with no limit, in a context that keeps every cell exact (rounding traps).
+
+Each command imports only the library modules it calls, inside its
+handler, so a fresh process pays for no other: btable loads derivatives,
+ctable and asymptotics load asymptotics (with derivatives), eval loads
+sequences and kernels, and transform and classify load transform.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from contextlib import nullcontext
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Overflow, Rounded, localcontext
 from pathlib import Path
 
-from . import asymptotics, derivatives, kernels, sequences, transform
 from .errors import SphereKernelError
 
 EXIT_OK = 0
@@ -52,7 +56,12 @@ def to_json(obj) -> str:
 def _emit(text, path: str | None) -> None:
     """Write text, or chunks computed in the exact context as they come, to path or stdout."""
     chunks = [text if text.endswith("\n") else text + "\n"] if isinstance(text, str) else text
-    with localcontext(_EXACT), open(path, "w") if path else nullcontext(sys.stdout) as out:
+    try:
+        sink = open(path, "w") if path else nullcontext(sys.stdout)
+    except OSError as exc:
+        # main reports a ValueError as a usage error
+        raise ValueError(f"--output: cannot write {path!r}: {exc.strerror or exc}") from None
+    with localcontext(_EXACT), sink as out:
         out.writelines(chunks)
 
 
@@ -80,7 +89,10 @@ def _leading_csv(rows):
         yield "".join(f"{n1},{n2},{value}\n" for n2, value in enumerate(row))
 
 
-def _load_model(parser: argparse.ArgumentParser, raw: str) -> sequences.SequenceModel:
+def _load_model(parser: argparse.ArgumentParser, raw: str):
+    """The sequences.SequenceModel given by --model: JSON text or a file path."""
+    from . import sequences
+
     text = raw.strip()
     if not text.startswith("{"):
         try:
@@ -106,6 +118,8 @@ def _parse_sphere(parser: argparse.ArgumentParser, raw: str) -> int | None:
 
 
 def cmd_eval(parser, args) -> int:
+    from . import kernels
+
     model = _load_model(parser, args.model)
     dim = _parse_sphere(parser, args.sphere)
     for theta in args.theta:
@@ -132,6 +146,8 @@ def cmd_eval(parser, args) -> int:
 
 
 def cmd_btable(parser, args) -> int:
+    from . import derivatives
+
     rows = derivatives.deriv_rows(args.j, args.order, Decimal(1))
     if args.format == "csv":
         chunks = _deriv_csv(args.j, rows)
@@ -142,6 +158,8 @@ def cmd_btable(parser, args) -> int:
 
 
 def cmd_ctable(parser, args) -> int:
+    from . import asymptotics
+
     rows = asymptotics.leading_rows(args.max_n, Decimal(1))
     if args.format == "csv":
         chunks = _leading_csv(rows)
@@ -152,6 +170,8 @@ def cmd_ctable(parser, args) -> int:
 
 
 def cmd_asymptotics(parser, args) -> int:
+    from . import asymptotics
+
     if args.js:
         js = sorted(set(args.js))
     else:
@@ -189,6 +209,8 @@ def cmd_asymptotics(parser, args) -> int:
 
 
 def cmd_transform(parser, args) -> int:
+    from . import transform
+
     model = _load_model(parser, args.model)
     if args.max_index is None:
         seq = transform.circle_sequence(model, args.tol)
@@ -212,6 +234,8 @@ def cmd_transform(parser, args) -> int:
 
 
 def cmd_classify(parser, args) -> int:
+    from . import transform
+
     model = _load_model(parser, args.model)
     dim = _parse_sphere(parser, args.sphere)
     if dim is None:
@@ -230,7 +254,6 @@ def cmd_classify(parser, args) -> int:
 
 
 def cmd_verify(parser, args) -> int:
-    # imported here, so that the other commands do not pay for it
     from . import verification
 
     # an unknown suite name raises ValueError, a usage error

@@ -290,13 +290,22 @@ def model_to_dict(model: SequenceModel) -> dict:
     return data
 
 
+def _number(name, value):
+    # JSON numbers only: float() would also take "1", true and false
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"model field '{name}' must be a number, got {type(value).__name__}")
+    return value
+
+
 def _decode_field(field, value):
-    # scalar fields go through float; sequences must be JSON arrays and
-    # reach the class as given
+    # scalar fields go through float; sequences must be JSON arrays of
+    # numbers and reach the class as given
     if field.type == "float":
-        return float(value)
+        return float(_number(field.name, value))
     if not isinstance(value, (list, tuple)):
         raise TypeError(f"model field '{field.name}' must be an array, got {type(value).__name__}")
+    for item in value:
+        _number(field.name, item)
     return value
 
 

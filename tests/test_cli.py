@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -360,7 +361,9 @@ def _assert_one_line_usage_error(capsys, exc):
     assert captured.out == ""
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1
-    assert json.loads(lines[0])["error"] == "UsageError"
+    error = json.loads(lines[0])
+    assert error["error"] == "UsageError"
+    return error
 
 
 @pytest.mark.parametrize(
@@ -380,13 +383,15 @@ def _assert_one_line_usage_error(capsys, exc):
         ["ctable", "--max-n", "0"],
         ["classify", "--model", _GEOMETRIC, "--ell-max", "-1"],
         _eval_argv('{"variant":"finite","terms":"12"}'),
+        _eval_argv('{"variant":"geometric","c":"1","r":0.5}'),
+        _eval_argv('{"variant":"poisson","c":false}'),
         _eval_argv('{"a":' + "[" * 200_000),
         ["eval", "--sphere", str(10**400), "--theta", "1", "--model", _GEOMETRIC],
     ],
     ids=["nan", "infinity", "huge-integer", "overflowing-mass", "tol-nan",
          "tol-inf", "tol-negative", "max-index-negative", "js-zero", "ell-zero",
          "order-zero", "max-n-zero", "ell-max-negative", "finite-terms-string",
-         "deeply-nested", "sphere-beyond-float"],
+         "string-field", "boolean-field", "deeply-nested", "sphere-beyond-float"],
 )
 def test_non_finite_model_field_is_usage_error(capsys, argv):
     # bad model fields, bad tolerances and library argument errors all
@@ -394,6 +399,17 @@ def test_non_finite_model_field_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     _assert_one_line_usage_error(capsys, exc)
+
+
+@pytest.mark.parametrize(
+    "argv", [_eval_argv(_GEOMETRIC), ["btable", "--j", "10", "--order", "4"]], ids=["eval", "btable"]
+)
+@pytest.mark.parametrize("target", ["missing/x.json", "."], ids=["missing-directory", "directory"])
+def test_unwritable_output_is_usage_error(tmp_path, capsys, argv, target):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--output", str(tmp_path / target)])
+    assert "--output" in _assert_one_line_usage_error(capsys, exc)["message"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bad_env_tolerance_is_usage_error(capsys, monkeypatch):
@@ -476,16 +492,61 @@ def test_unknown_verify_suite_is_usage_error(capsys):
     _assert_one_line_usage_error(capsys, exc)
 
 
-def test_cli_import_leaves_verification_unloaded():
-    # verify imports the module itself, so no other command pays for it
+def _run_main(*argv):
+    return f"from spherekernel.cli import main; rc = main({list(argv)!r})"
+
+
+_CLI_LOADED = {"cli", "errors"}
+_TRANSFORM_LOADED = _CLI_LOADED | {"transform", "kernels", "sequences", "derivatives"}
+
+
+@pytest.mark.parametrize(
+    "run, loaded",
+    [
+        ("import spherekernel", set()),
+        # a submodule attribute loads it and binds all of its names
+        (
+            "import spherekernel as sk; sk.kernels; assert 'psd_spot_check' in vars(sk)",
+            {"kernels", "sequences", "errors"},
+        ),
+        ("import spherekernel.cli", _CLI_LOADED),
+        (_run_main(*_eval_argv(_GEOMETRIC)), _CLI_LOADED | {"sequences", "kernels"}),
+        (_run_main("btable", "--j", "4", "--order", "2"), _CLI_LOADED | {"derivatives"}),
+        (_run_main("ctable", "--max-n", "4"), _CLI_LOADED | {"asymptotics", "derivatives"}),
+        (_run_main("asymptotics", "--ell", "1", "--js", "8"), _CLI_LOADED | {"asymptotics", "derivatives"}),
+        (_run_main("transform", "--model", _GEOMETRIC, "--max-index", "3"), _TRANSFORM_LOADED),
+        (_run_main("classify", "--model", _GEOMETRIC, "--ell-max", "1"), _TRANSFORM_LOADED),
+    ],
+    ids=["package", "first-use", "cli", "eval", "btable", "ctable", "asymptotics", "transform", "classify"],
+)
+def test_cli_import_leaves_verification_unloaded(run, loaded):
+    # each command imports only the modules it calls (verify alone loads
+    # verification), and importing the package loads no submodule
     src = str(Path(spherekernel.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, spherekernel.cli; print('spherekernel.verification' in sys.modules)"
+    code = (
+        f"import sys; rc = 0; {run}; "
+        "print(sorted(n for n in sys.modules if n.startswith('spherekernel.'))); sys.exit(rc)"
+    )
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.splitlines()[-1] == str(sorted(f"spherekernel.{m}" for m in loaded))
+
+
+def test_package_names_load_from_their_submodules():
+    for module, names in spherekernel._EXPORTS.items():
+        submodule = importlib.import_module(f"spherekernel.{module}")
+        assert getattr(spherekernel, module) is submodule
+        for name in names:
+            assert getattr(spherekernel, name) is getattr(submodule, name)
+    assert set(spherekernel.__all__) <= set(dir(spherekernel))
+    namespace = {}
+    exec("from spherekernel import *", namespace)
+    assert set(spherekernel.__all__) <= set(namespace)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        spherekernel.no_such_name
 
 
 def test_verify_fails_on_corrupted_recursion(capsys, monkeypatch):

@@ -267,16 +267,25 @@ def test_model_from_dict_rejects_unknown_variant():
         model_from_dict({"variant": "poisson", "c": 10 ** 400})
     with pytest.raises(ValueError, match="model fields must be finite"):
         model_from_dict({"variant": "finite", "terms": [10 ** 400]})
-    # scalar fields go through float(): null is a TypeError, not a default
-    with pytest.raises(TypeError):
-        model_from_dict({"variant": "geometric", "c": None, "r": 0.5})
-    with pytest.raises(ValueError, match="could not convert"):
-        model_from_dict({"variant": "geometric", "c": "abc", "r": 0.5})
-    # ... so numeric strings and booleans are accepted, and extra keys ignored
-    assert model_from_dict({"variant": "geometric", "c": "0.5", "r": False}) == Geometric(0.5, 0.0)
-    assert model_from_dict({"variant": "powerlaw", "C": True, "p": "3", "x": 1}) == PowerLaw(1.0, 3.0)
+    # fields must be JSON numbers: null, strings and booleans are not, even
+    # where float() would take them
+    for data in (
+        {"variant": "geometric", "c": None, "r": 0.5},
+        {"variant": "geometric", "c": "abc", "r": 0.5},
+        {"variant": "geometric", "c": "1", "r": 0.5},
+        {"variant": "geometric", "c": True, "r": 0.5},
+        {"variant": "poisson", "c": False},
+        {"variant": "finite", "terms": ["1", True]},
+        {"variant": "finite", "terms": [1, True]},
+        {"variant": "finite", "terms": [[1]]},
+    ):
+        with pytest.raises(TypeError, match="model field '(c|terms)' must be a number"):
+            model_from_dict(data)
+    # JSON integers are numbers, and extra keys are ignored
+    assert model_from_dict({"variant": "geometric", "c": 1, "r": 0}) == Geometric(1.0, 0.0)
+    assert model_from_dict({"variant": "powerlaw", "C": 1, "p": 3.0, "x": "y"}) == PowerLaw(1.0, 3.0)
     # terms reach Finite as given, which converts each one
-    assert model_from_dict({"variant": "finite", "terms": [1, "2"]}) == Finite((1.0, 2.0))
+    assert model_from_dict({"variant": "finite", "terms": [1, 2.5]}) == Finite((1.0, 2.5))
     # ... but must be a JSON array, not a string or object read element-wise
     for terms in (None, "12", {"3": 1}):
         with pytest.raises(TypeError):
