@@ -492,6 +492,18 @@ def test_unknown_verify_suite_is_usage_error(capsys):
     _assert_one_line_usage_error(capsys, exc)
 
 
+def test_cli_import_leaves_verification_unloaded():
+    # verify imports the module itself, so no other command pays for it
+    src = str(Path(spherekernel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, spherekernel.cli; print('spherekernel.verification' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 def _run_main(*argv):
     return f"from spherekernel.cli import main; rc = main({list(argv)!r})"
 
@@ -519,7 +531,7 @@ _TRANSFORM_LOADED = _CLI_LOADED | {"transform", "kernels", "sequences", "derivat
     ],
     ids=["package", "first-use", "cli", "eval", "btable", "ctable", "asymptotics", "transform", "classify"],
 )
-def test_cli_import_leaves_verification_unloaded(run, loaded):
+def test_each_command_loads_only_the_modules_it_calls(run, loaded):
     # each command imports only the modules it calls (verify alone loads
     # verification), and importing the package loads no submodule
     src = str(Path(spherekernel.__file__).resolve().parents[1])
