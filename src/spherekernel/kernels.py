@@ -34,6 +34,36 @@ Legendre values and C_k^{3/2}(1) = (k+1)(k+2)/2.  Where the envelope is
 repay the search, the sum is the whole plain prefix.  Nonnegative
 summable coefficients make both series positive definite;
 psd_spot_check probes that numerically on finite point sets.
+
+Three kernels are generating functions of their coefficients and have
+O(1) closed forms, written in h^2 = sin^2(theta / 2), so that
+1 - cos theta = 2 h^2 loses nothing to cancellation near theta = 0:
+
+    sphere    model         phi(theta)
+    Hilbert   Geometric     c / ((1 - r) + 2 r h^2)
+    S^2       Geometric     c / sqrt((1 - r)^2 + 4 r h^2)
+    Hilbert   PoissonType   exp(-2 c h^2)
+
+The S^2 form is the Legendre generating function (DLMF 18.12.11).  With
+u = 2^-53, gamma_n = n u / (1 - n u) (Higham, *Accuracy and Stability
+of Numerical Algorithms*, 3.1) and libm's sin and exp within one ulp
+(2u relative), h^2 is within gamma_5 relative and 2 r h^2 or 4 r h^2
+within gamma_6 (2r and 4r are exact); 1 - r is exact for r >= 1/2 and
+within u otherwise, and (1 - r)^2 within gamma_3.  A sum of two
+nonnegative terms keeps the larger relative error and adds a rounding,
+so the Hilbert denominator is within gamma_7 and the quotient within
+gamma_8 (Higham, Lemma 3.3).  On S^2 the square root halves gamma_7 and
+adds a rounding, gamma_5, and the quotient is within gamma_6.  Both
+values are at most c / (1 - r), so each is within 10 u c / (1 - r): the
+units past 8 cover the roundings of c / (1 - r) and of the bound
+itself, and an h^2 that underflows (2^-1072 absolute at most in
+4 r h^2, against a denominator of at least 2^-106).  For PoissonType,
+x = -2 c h^2 is within gamma_6 relative, so for |x| <= 746
+|exp(x (1 + e)) - exp(x)| <= exp(x) |x e| exp(|x e|) <= gamma_6 (1 + 1e-12) / e,
+since y exp(-y) <= 1/e; past 746 both values are below 2^-1075.  exp's
+own ulp adds 2u, so the value is within 5u, the mass being 1.  A form
+is taken only where tol is a positive number and the form's bound is at
+most tol; otherwise the series above is summed (at tol = 1e-300, say).
 """
 
 from __future__ import annotations
@@ -45,8 +75,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, ToleranceUnreachable
 from .sequences import (
+    Geometric,
+    PoissonType,
     SequenceModel,
     coefficient_prefix,
     total_mass_bound,
@@ -239,10 +271,50 @@ def _as_model(spec) -> SequenceModel:
     return spec.coefficients if isinstance(spec, KernelSpec) else spec
 
 
-def _cosine(theta: float) -> float:
+def _finite_angle(theta: float) -> float:
     if not math.isfinite(theta):
         raise ValueError(f"angle must be finite, got {theta!r}")
-    return math.cos(theta)
+    return theta
+
+
+def _half_chord_squared(theta: float) -> float:
+    # sin^2(theta / 2) = (1 - cos theta) / 2, with no cancellation near 0
+    h = math.sin(0.5 * theta)
+    return h * h
+
+
+# the rounding bounds of the closed forms in units of 2^-53 of the
+# model's mass, derived in the module docstring
+_GEOMETRIC_FORM_UNITS = 10
+_POISSON_FORM_UNITS = 5
+
+
+def _kernel_form(model: SequenceModel, dimension: int | None, tol: float):
+    """theta -> phi(theta) in closed form, or None where the series is summed.
+
+    The forms (Geometric on the Hilbert sphere and S^2, PoissonType on the
+    Hilbert sphere) and their rounding bounds are in the module docstring;
+    a form is returned only where its bound is at most tol.  Raises
+    ToleranceUnreachable unless tol is a positive number.
+    """
+    if not tol > 0.0:
+        raise ToleranceUnreachable(f"tolerance must be positive, got {tol}")
+    if isinstance(model, Geometric) and dimension in (None, 2):
+        c, d = model.c, 1.0 - model.r
+        if _GEOMETRIC_FORM_UNITS * 2.0 ** -53 * (c / d) > tol:
+            return None
+        if dimension is None:
+            two_r = 2.0 * model.r
+            return lambda theta: c / (d + two_r * _half_chord_squared(theta))
+        d2, four_r = d * d, 4.0 * model.r
+        return lambda theta: c / math.sqrt(d2 + four_r * _half_chord_squared(theta))
+    if isinstance(model, PoissonType) and dimension is None:
+        if _POISSON_FORM_UNITS * 2.0 ** -53 > tol:
+            return None
+        c = model.c
+        # c * (2 h^2) rather than 2c: 2c overflows for c near the float maximum
+        return lambda theta: math.exp(-(c * (2.0 * _half_chord_squared(theta))))
+    return None
 
 
 def _hilbert_sum(prefix: _Prefix, u: float, tol: float) -> float:
@@ -253,30 +325,49 @@ def _hilbert_sum(prefix: _Prefix, u: float, tol: float) -> float:
     return total
 
 
+def _series(model: SequenceModel, dimension: int | None, theta: float, tol: float) -> float:
+    """The series at a finite theta, truncated within tol, over the cached prefix."""
+    t = math.cos(theta)
+    prefix = _coefficient_prefix(model, tol)
+    if dimension is None:
+        return _hilbert_sum(prefix, t, tol)
+    coeffs = _angle_prefix(prefix, dimension, t, tol)
+    if dimension == 1:
+        return math.fsum(a * math.cos(k * theta) for k, a in enumerate(coeffs))
+    return _gegenbauer_sum(coeffs, (dimension - 1) / 2.0, t)
+
+
+def _evaluate(model: SequenceModel, dimension: int | None, theta: float, tol: float) -> float:
+    theta = _finite_angle(theta)
+    form = _kernel_form(model, dimension, tol)
+    if form is not None:
+        return form(theta)
+    return _series(model, dimension, theta, tol)
+
+
 def phi_eval_inf(spec, theta: float, tol: float = 1e-10) -> float:
-    """Hilbert-sphere series sum_m a_m cos^m(theta), truncated within tol.
+    """Hilbert-sphere series sum_m a_m cos^m(theta), within tol.
 
     Accepts a KernelSpec (with dimension None) or a bare SequenceModel.
+    Geometric and PoissonType models take their closed form where its
+    rounding bound fits in tol (see the module docstring).
     """
     if isinstance(spec, KernelSpec) and spec.dimension is not None:
         raise ValueError("phi_eval_inf needs a Hilbert-sphere spec (dimension None)")
-    u = _cosine(theta)
-    return _hilbert_sum(_coefficient_prefix(_as_model(spec), tol), u, tol)
+    return _evaluate(_as_model(spec), None, theta, tol)
 
 
 def phi_eval_d(spec: KernelSpec, theta: float, tol: float = 1e-10) -> float:
     """d-sphere series sum_k a_k C_k^lam(cos theta)/C_k^lam(1) within tol.
 
     The remainder after truncation is bounded by the angle's envelope
-    times the coefficient tail (see the module docstring).
+    times the coefficient tail; Geometric models on S^2 take their
+    closed form where its rounding bound fits in tol (see the module
+    docstring).
     """
     if not isinstance(spec, KernelSpec) or spec.dimension is None:
         raise ValueError("phi_eval_d needs a KernelSpec with a finite dimension")
-    t = _cosine(theta)
-    coeffs = _angle_prefix(_coefficient_prefix(spec.coefficients, tol), spec.dimension, t, tol)
-    if spec.dimension == 1:
-        return math.fsum(a * math.cos(k * theta) for k, a in enumerate(coeffs))
-    return _gegenbauer_sum(coeffs, spec.lam, t)
+    return _evaluate(spec.coefficients, spec.dimension, theta, tol)
 
 
 def phi_eval(spec: KernelSpec, theta: float, tol: float = 1e-10) -> float:

@@ -45,6 +45,24 @@ def _require_finite_mass(model: SequenceModel) -> None:
         raise ValueError(f"model total mass must be finite for {model!r}") from None
 
 
+def _weighted_term(model: Geometric | PoissonType, m: int, ell: int) -> float:
+    """a_m * m**ell, for the certified tails of Geometric and PoissonType.
+
+    The float product where m**ell is a float.  Beyond float range, where
+    a_m m**ell need not be, exp(log a_m + ell log m) with log a_m from the
+    model's own logarithm, so an a_m below float range still counts.  Its
+    exponent is padded upward by 2^-40 of the magnitudes summed, plus
+    2^-40: far above the few-ulp errors of log, lgamma, the products and
+    the sums, and of exp itself.
+    """
+    try:
+        return model.term(m) * float(m ** ell)
+    except OverflowError:
+        pass
+    log_a, log_w = model._log_term(m), ell * math.log(m)
+    return math.exp(log_a + log_w + 2.0 ** -40 * (abs(log_a) + log_w + 1.0))
+
+
 @dataclass(frozen=True)
 class Finite:
     """a_m = terms[m] for m < len(terms), 0 beyond."""
@@ -102,9 +120,13 @@ class Geometric:
         # Beyond m0 the term ratio r*((m+1)/m)**ell stays below 2r/(1+r) < 1.
         rho = (1.0 + r) / 2.0
         m0 = max(start, 1, math.ceil(ell / math.log(1.0 / rho)))
-        head = math.fsum(self.term(m) * float(m ** ell) for m in range(max(start, 1), m0))
+        head = math.fsum(_weighted_term(self, m, ell) for m in range(max(start, 1), m0))
         q = r * ((m0 + 1.0) / m0) ** ell
-        return head + self.term(m0) * float(m0 ** ell) / (1.0 - q)
+        return head + _weighted_term(self, m0, ell) / (1.0 - q)
+
+    def _log_term(self, m: int) -> float:
+        # c > 0 and r > 0 wherever tail weighs a term
+        return math.log(self.c) + m * math.log(self.r)
 
     def factorial_moment(self, k: int) -> Fraction:
         # k-th derivative of c / (1 - r z) at z = 1
@@ -182,9 +204,13 @@ class PoissonType:
         while c / (m0 + 1.0) * (1.0 + 1.0 / m0) ** ell > 0.5:
             m0 += 1
         head_start = start if ell == 0 else max(start, 1)
-        head = math.fsum(self.term(m) * float(m ** ell) for m in range(head_start, m0))
+        head = math.fsum(_weighted_term(self, m, ell) for m in range(head_start, m0))
         q = c / (m0 + 1.0) * (1.0 + 1.0 / m0) ** ell
-        return head + self.term(m0) * float(m0 ** ell) / (1.0 - q)
+        return head + _weighted_term(self, m0, ell) / (1.0 - q)
+
+    def _log_term(self, m: int) -> float:
+        # c > 0 wherever tail weighs a term
+        return -self.c + m * math.log(self.c) - math.lgamma(m + 1)
 
     def factorial_moment(self, k: int) -> Fraction:
         # k-th derivative of exp(c (z - 1)) at z = 1; the mass is exactly 1
@@ -224,9 +250,10 @@ def weighted_tail_bound(model: SequenceModel, start: int, ell: int) -> TailBound
 
     Geometric and Poisson tails are capped by summing exact terms up to
     an index where the term ratio is provably below 1, then closing with
-    a geometric series; power-law tails use the integral test.  Raises
-    DivergentSeries when no finite bound exists, and UnsupportedRange when
-    the bound (say m**ell at large ell) is beyond float range.
+    a geometric series, each term a_m m**ell taken through logarithms
+    where m**ell alone leaves float range; power-law tails use the
+    integral test.  Raises DivergentSeries when no finite bound exists,
+    and UnsupportedRange when the bound is beyond float range.
     """
     if start < 0:
         raise ValueError(f"start index must be nonnegative, got {start}")

@@ -69,7 +69,7 @@ from operator import mul, sub, truediv
 
 from .derivatives import _diagonal_polynomial, _even_block_counts, _horner
 from .errors import DivergentSeries, ToleranceUnreachable, UnsupportedRange
-from .kernels import _cosine, _hilbert_sum, _prefix
+from .kernels import _finite_angle, _hilbert_sum, _kernel_form, _prefix
 from .sequences import (
     Finite,
     Geometric,
@@ -243,17 +243,22 @@ def reconstruct_error(
 
     Compares sum_{n<=max_index} b_n cos(n theta) against the direct
     Hilbert-sphere evaluation over the given angles, phi_eval_inf at
-    tol/4.  The direct values come from one prefix built for this call
-    and left out of the kernel cache, which it would only fill with a
-    model evaluated once.
+    tol/4: the closed form where phi_eval_inf takes it, else one prefix
+    built for this call and left out of the kernel cache, which it would
+    only fill with a model evaluated once.
     """
     coeffs = circle_sequence_to(model, max_index, tol).terms
-    prefix = _prefix(model, tol / 4.0)
+    direct = _kernel_form(model, None, tol / 4.0)
+    if direct is None:
+        prefix = _prefix(model, tol / 4.0)
+
+        def direct(theta):
+            return _hilbert_sum(prefix, math.cos(theta), tol / 4.0)
+
     worst = 0.0
-    for theta in theta_samples:
+    for theta in map(_finite_angle, theta_samples):
         rebuilt = math.fsum(b * math.cos(n * theta) for n, b in enumerate(coeffs))
-        direct = _hilbert_sum(prefix, _cosine(theta), tol / 4.0)
-        worst = max(worst, abs(rebuilt - direct))
+        worst = max(worst, abs(rebuilt - direct(theta)))
     return worst
 
 

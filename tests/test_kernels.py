@@ -14,7 +14,7 @@ import scipy.special
 from hypothesis import given, settings, strategies as st
 
 from spherekernel import kernels
-from spherekernel.errors import DimensionMismatch
+from spherekernel.errors import DimensionMismatch, ToleranceUnreachable
 from spherekernel.kernels import (
     KernelSpec,
     UnitVector,
@@ -183,19 +183,39 @@ def test_gegenbauer_sum_equals_simultaneous_recurrence_reference(model, tol):
         assert abs(got - _decimal_gegenbauer_sum(coeffs, math.inf, t)) <= bound, theta
 
 
-def test_s2_values_are_pinned_bit_for_bit():
-    # the Legendre path: every repr over a grid of models, tolerances and angles
-    models = [Geometric(1.0, r) for r in (0.5, 0.9, 0.99)]
-    models += [PoissonType(c) for c in (2.0, 50.0)]
-    models += [PowerLaw(1.0, p) for p in (3.5, 4.5, 7.0)]
+_S2_PINNED_GEOMETRIC = [Geometric(1.0, r) for r in (0.5, 0.9, 0.99)]
+
+
+def _s2_digest(evaluate, models):
     values = [
-        repr(phi_eval_d(KernelSpec(2, model), k * math.pi / 64, tol))
+        repr(evaluate(model, k * math.pi / 64, tol))
         for model in models
         for tol in (1e-5, 1e-10)
         for k in range(65)
     ]
-    digest = hashlib.sha1("\n".join(values).encode()).hexdigest()
+    return hashlib.sha1("\n".join(values).encode()).hexdigest()
+
+
+def test_s2_values_are_pinned_bit_for_bit():
+    # the Legendre path: every repr over a grid of models, tolerances and
+    # angles, through the series itself, which Geometric rows of phi_eval_d
+    # no longer take
+    models = _S2_PINNED_GEOMETRIC + [PoissonType(c) for c in (2.0, 50.0)]
+    models += [PowerLaw(1.0, p) for p in (3.5, 4.5, 7.0)]
+    digest = _s2_digest(lambda model, theta, tol: kernels._series(model, 2, theta, tol), models)
     assert digest == "089471886e9f3247357554d571aa0fecfa7ab1d7"
+    # phi_eval_d takes that path for every model without a closed form
+    others = models[len(_S2_PINNED_GEOMETRIC):]
+    digest = _s2_digest(lambda model, theta, tol: phi_eval_d(KernelSpec(2, model), theta, tol), others)
+    assert digest == "f90f84972a8a59598853154dafd782b7cdef9754"
+
+
+def test_s2_geometric_form_values_are_pinned_bit_for_bit():
+    # the same grid's Geometric rows through the closed form
+    digest = _s2_digest(
+        lambda model, theta, tol: phi_eval_d(KernelSpec(2, model), theta, tol), _S2_PINNED_GEOMETRIC
+    )
+    assert digest == "43d4d2685405f9a88b67cd6fa002f838c52a721f"
 
 
 def test_recurrence_tables_under_concurrent_builds():
@@ -299,23 +319,142 @@ def _mp_gegenbauer_series(lam, t, terms, count):
 _INTERIOR_ANGLES = (0.4, 1.1, 1.9, 2.8)
 
 
+# the closed forms are checked at these angles and ratios, and at c = 0
+_FORM_ANGLES = (0.0, 1e-8, 1e-5, 0.7, 2.0, 3.1, math.pi, -0.4, 7.0)
+_FORM_RATIOS = (0.0, 0.5, 0.99, 1.0 - 2.0**-20)
+
+
+def _mp_cos(theta):
+    return mpmath.cos(mpmath.mpf(theta))
+
+
+def _mp_hilbert_geometric(c, r, theta):
+    """sum_m c r^m cos^m theta by mpmath.nsum at 40 digits.
+
+    Levin's transform: the default Richardson and Shanks steps stopped early
+    on 6 of 1,813 drawn (r, theta), such as r = 0.5, theta = -1.925.
+    """
+    with mpmath.workdps(40):
+        x = mpmath.mpf(r) * _mp_cos(theta)
+        return mpmath.nsum(lambda m: mpmath.mpf(c) * x**m, [0, mpmath.inf], method="levin")
+
+
+def _mp_s2_geometric(c, r, theta):
+    """sum_k c r^k P_k(cos theta) at 40 digits.
+
+    For r <= 0.99 the Legendre series itself, by mpmath.nsum.  At r = 1 - 2^-20
+    it needs about 5e7 terms, so each P_k comes from Laplace's first integral,
+    P_k(cos theta) = (1/pi) int_0^pi (cos theta + i sin theta cos phi)^k dphi
+    (Whittaker and Watson, 15.23), and the geometric series in k is summed
+    under the integral sign.
+    """
+    with mpmath.workdps(40):
+        t, c, r = _mp_cos(theta), mpmath.mpf(c), mpmath.mpf(r)
+        if r <= 0.99:
+            return mpmath.nsum(lambda k: c * r**k * mpmath.legendre(k, t), [0, mpmath.inf])
+        s = mpmath.sin(mpmath.mpf(theta))
+        integrand = lambda phi: 1 / (1 - r * t - 1j * r * s * mpmath.cos(phi))
+        return c * mpmath.quad(integrand, [0, mpmath.pi / 2, mpmath.pi]).real / mpmath.pi
+
+
+def _mp_hilbert_poisson(c, theta):
+    """sum_m e^-c c^m cos^m theta / m! at 40 digits, over m < 2c + 200.
+
+    Past m = 2c the terms fall by half at least per step, so the rest is
+    below twice the last term, under 1e-60 of the mass here.
+    """
+    with mpmath.workdps(40):
+        x = mpmath.mpf(c) * _mp_cos(theta)
+        term, terms = mpmath.exp(-mpmath.mpf(c)), []
+        for m in range(int(2 * c) + 200):
+            terms.append(term)
+            term = term * x / (m + 1)
+        return mpmath.fsum(terms)
+
+
+def _geometric_form_bound(model):
+    return kernels._GEOMETRIC_FORM_UNITS * 2.0**-53 * model.c / (1.0 - model.r)
+
+
+def _assert_geometric_form_within_its_bound(dimension, oracle):
+    tol = 1e-6  # above every bound on the grid, so the form is taken
+    for c, r in [(0.3, r) for r in _FORM_RATIOS] + [(0.0, 0.5)]:
+        model = Geometric(c, r)
+        bound = _geometric_form_bound(model)
+        assert bound <= tol and kernels._kernel_form(model, dimension, tol) is not None
+        for theta in _FORM_ANGLES:
+            got = phi_eval(KernelSpec(dimension, model), theta, tol)
+            assert abs(got - oracle(c, r, theta)) <= bound, (c, r, theta)
+
+
 def test_hilbert_geometric_matches_generating_function():
-    c, r, tol = 0.3, 0.95, 1e-10
-    model = Geometric(c, r)
+    _assert_geometric_form_within_its_bound(None, _mp_hilbert_geometric)
+    # the series path still cuts its prefix short where |cos theta| < 1
+    model, tol = PowerLaw(1.0, 3.5), 1e-10
     prefix = kernels._coefficient_prefix(model, tol)
     for theta in _INTERIOR_ANGLES:
         t = math.cos(theta)
         assert len(kernels._angle_prefix(prefix, None, t, tol)) < len(prefix)
-        assert abs(phi_eval_inf(model, theta, tol) - c / (1.0 - r * t)) <= tol
+        with mpmath.workdps(30):
+            want = mpmath.polylog(3.5, mpmath.mpf(t)) / t
+        assert abs(phi_eval_inf(model, theta, tol) - want) <= tol
 
 
 def test_s2_geometric_matches_generating_function():
-    c, r, tol = 0.3, 0.95, 1e-10
-    model = Geometric(c, r)
-    for theta in _INTERIOR_ANGLES:
-        t = math.cos(theta)
-        want = c / math.sqrt(1.0 - 2.0 * r * t + r * r)
-        assert abs(phi_eval_d(KernelSpec(2, model), theta, tol) - want) <= tol
+    _assert_geometric_form_within_its_bound(2, _mp_s2_geometric)
+
+
+def test_hilbert_poisson_matches_its_series():
+    tol = 1e-10
+    bound = kernels._POISSON_FORM_UNITS * 2.0**-53
+    for c in (0.0, 0.5, 2.0, 50.0, 1e3):
+        model = PoissonType(c)
+        assert kernels._kernel_form(model, None, tol) is not None
+        for theta in _FORM_ANGLES:
+            got = phi_eval_inf(model, theta, tol)
+            assert abs(got - _mp_hilbert_poisson(c, theta)) <= bound, (c, theta)
+
+
+@pytest.mark.parametrize("theta", [1e-5, 1e-4, 1e-3])
+def test_s2_geometric_near_zero_meets_the_tolerance(theta):
+    # the summed Legendre series missed here by 1.0043, 0.74 and 0.24 tol:
+    # its certified tail used almost all of tol, leaving none for rounding
+    tol = 1e-10
+    got = phi_eval_d(KernelSpec(2, Geometric(1.0, 0.99)), theta, tol)
+    assert abs(got - _mp_s2_geometric(1.0, 0.99, theta)) <= tol
+
+
+def test_forms_fall_back_to_the_series_below_their_bounds():
+    cases = [
+        (None, Geometric(1.0, 0.5), 1.6192262878562635),
+        (2, Geometric(1.0, 0.5), 1.4356827599495945),
+        (None, PoissonType(2.0), 0.6248050328002883),
+    ]
+    for dimension, model, series_value in cases:
+        # a tol below the rounding bound sums the series, bit for bit as before
+        got = phi_eval(KernelSpec(dimension, model), 0.7, 1e-300)
+        assert got == series_value == kernels._series(model, dimension, 0.7, 1e-300)
+        bound = (
+            kernels._POISSON_FORM_UNITS * 2.0**-53
+            if isinstance(model, PoissonType)
+            else _geometric_form_bound(model)
+        )
+        assert kernels._kernel_form(model, dimension, bound) is not None
+        assert kernels._kernel_form(model, dimension, math.nextafter(bound, 0.0)) is None
+    # a zero mass has a zero bound, and tol is still validated first
+    for tol in (0.0, -1e-10, math.nan):
+        for dimension in (None, 2):
+            with pytest.raises(ToleranceUnreachable):
+                phi_eval(KernelSpec(dimension, Geometric(0.0, 0.5)), 0.7, tol)
+    # no form on the other spheres, nor for the other variants
+    for dimension, model in [
+        (1, Geometric(1.0, 0.5)),
+        (3, Geometric(1.0, 0.5)),
+        (2, PoissonType(2.0)),
+        (None, PowerLaw(1.0, 3.5)),
+        (None, Finite((0.5, 0.5))),
+    ]:
+        assert kernels._kernel_form(model, dimension, 1e-3) is None
 
 
 @pytest.mark.parametrize("dimension", [2, 3, 4])
@@ -413,8 +552,7 @@ def test_phi_eval_d_dimension_one_is_cosine_series():
 def test_phi_eval_inf_geometric_closed_form():
     model = Geometric(0.5, 0.5)
     for theta in (0.0, 0.3, math.pi / 2, 2.1, math.pi):
-        want = 0.5 / (1.0 - 0.5 * math.cos(theta))
-        assert phi_eval_inf(model, theta, 1e-13) == pytest.approx(want, abs=1e-12)
+        assert abs(phi_eval_inf(model, theta, 1e-13) - _mp_hilbert_geometric(0.5, 0.5, theta)) <= 1e-13
 
 
 def test_phi_eval_inf_at_right_angle_is_first_coefficient():

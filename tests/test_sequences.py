@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from dataclasses import fields
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spherekernel.errors import DivergentSeries, ToleranceUnreachable, UnsupportedRange
+from spherekernel import sequences
 from spherekernel.sequences import (
     _VARIANTS,
     Finite,
@@ -126,6 +128,69 @@ def test_weighted_tail_beyond_float_range_is_unsupported_range(model, ell):
     with pytest.raises(UnsupportedRange, match="float range"):
         weighted_tail_bound(model, 0, ell)
     assert math.isfinite(weighted_tail_bound(model, 0, 1).bound)
+
+
+def _mp_poisson_moment(c, ell):
+    # sum_m e^-c c^m m^ell / m! over m < 3000, far past the peak of every case here
+    c = mpmath.mpf(c)
+    return mpmath.fsum(
+        mpmath.exp(-c + m * mpmath.log(c) - mpmath.loggamma(m + 1)) * mpmath.mpf(m) ** ell
+        for m in range(1, 3000)
+    )
+
+
+@pytest.mark.parametrize(
+    "model, ell, exact",
+    [
+        (Geometric(1.0, 0.5), 118, lambda: mpmath.polylog(-118, 0.5)),
+        (Geometric(1.0, 0.5), 150, lambda: mpmath.polylog(-150, 0.5)),
+        (PoissonType(3.0), 200, lambda: _mp_poisson_moment(3.0, 200)),
+    ],
+    ids=["geometric-118", "geometric-150", "poisson-200"],
+)
+def test_weighted_tail_where_m_to_the_ell_leaves_float_range(model, ell, exact):
+    # m**ell overflows a float from m = 410 (ell = 118) on, while the sum
+    # of a_m m**ell is an ordinary float; the bound used to raise
+    with mpmath.workdps(30):
+        want = exact()
+        bound = weighted_tail_bound(model, 0, ell).bound
+        assert want <= bound <= want * (1 + mpmath.mpf(1e-8))
+
+
+def test_log_domain_weighted_terms_bound_the_exact_product():
+    # a_m = 1e-3**m is below float range from m = 103 on, so the product
+    # a_m m**ell is kept only through the logarithms
+    for model, m, ell in [
+        (Geometric(1.0, 1e-3), 120, 200),
+        (Geometric(1.0, 1e-3), 160, 160),
+        (Geometric(0.3, 0.5), 410, 118),
+        (PoissonType(3.0), 400, 200),
+        (PoissonType(1e5), 100_000, 62),
+    ]:
+        with pytest.raises(OverflowError):
+            float(m**ell)
+        with mpmath.workdps(30):
+            if isinstance(model, Geometric):
+                want = mpmath.mpf(model.c) * mpmath.mpf(model.r) ** m * mpmath.mpf(m) ** ell
+            else:
+                c = mpmath.mpf(model.c)
+                want = mpmath.exp(-c + m * mpmath.log(c) - mpmath.loggamma(m + 1)) * mpmath.mpf(m) ** ell
+            got = sequences._weighted_term(model, m, ell)
+            assert want <= got <= want * (1 + mpmath.mpf(1e-8)), (model, m, ell)
+
+
+def test_weighted_tails_within_float_range_are_unchanged():
+    # every bound that needs no log-domain term, repr for repr as before
+    models = [Geometric(c, r) for c in (1.0, 0.3) for r in (1e-10, 0.5, 0.99)]
+    models += [PoissonType(c) for c in (0.5, 3.0, 50.0, 700.0)]
+    values = [
+        repr(weighted_tail_bound(model, start, ell).bound)
+        for model in models
+        for start in (0, 1, 7, 100)
+        for ell in (0, 1, 2, 5, 20, 60)
+    ]
+    digest = hashlib.sha1("\n".join(values).encode()).hexdigest()
+    assert digest == "6203403abd211bd99b92e317ae214c653e818d3e"
 
 
 def test_poisson_term_switches_to_log_domain_on_overflow():

@@ -15,7 +15,7 @@ import spherekernel.transform as transform
 from spherekernel.asymptotics import build_leading_table
 from spherekernel.derivatives import _diagonal_polynomial, _even_block_counts, diagonal_closed_form
 from spherekernel.errors import DivergentSeries, ToleranceUnreachable, UnsupportedRange
-from spherekernel.kernels import phi_eval_inf
+from spherekernel.kernels import KernelSpec, phi_eval_d, phi_eval_inf
 from spherekernel.sequences import (
     Finite,
     Geometric,
@@ -75,12 +75,13 @@ def test_circle_coefficient_validation():
     [
         lambda model, tol: truncation_index(model, 0, tol),
         lambda model, tol: phi_eval_inf(model, 0.0, tol),
+        lambda model, tol: phi_eval_d(KernelSpec(2, model), 0.0, tol),
         lambda model, tol: derivative_at_zero_series(model, 1, tol),
         lambda model, tol: circle_coefficient(model, 0, tol),
         lambda model, tol: circle_sequence(model, tol),
         lambda model, tol: circle_sequence_to(model, 3, tol),
     ],
-    ids=["truncation_index", "phi_eval_inf", "derivative_series",
+    ids=["truncation_index", "phi_eval_inf", "phi_eval_d", "derivative_series",
          "circle_coefficient", "circle_sequence", "circle_sequence_to"],
 )
 def test_nan_tolerance_rejected(evaluate):
@@ -304,6 +305,21 @@ def test_reconstruct_error_is_the_largest_gap_to_phi_eval_inf(model):
     assert type(got) is float and got == want
     # its prefix is built for the call and kept out of the kernel cache
     assert kernels._coefficient_prefix.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("model", [Geometric(0.01, 0.99), PoissonType(50.0)])
+def test_reconstruct_error_builds_no_prefix_where_a_closed_form_applies(model, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("prefix built")
+
+    max_index = circle_sequence(model, 1e-8).max_index
+    want = reconstruct_error(model, THETAS, max_index, 1e-8)
+    monkeypatch.setattr(transform, "_prefix", refuse)
+    monkeypatch.setattr(kernels, "_coefficient_prefix", refuse)
+    assert reconstruct_error(model, THETAS, max_index, 1e-8) == want
+    # below the form's rounding bound the prefix is built again
+    with pytest.raises(AssertionError, match="prefix built"):
+        reconstruct_error(model, THETAS, max_index, 1e-300)
 
 
 def test_reconstruct_error_rejects_a_nan_angle():
