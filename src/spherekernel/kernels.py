@@ -35,35 +35,69 @@ repay the search, the sum is the whole plain prefix.  Nonnegative
 summable coefficients make both series positive definite;
 psd_spot_check probes that numerically on finite point sets.
 
-Three kernels are generating functions of their coefficients and have
+Some kernels are generating functions of their coefficients and have
 O(1) closed forms, written in h^2 = sin^2(theta / 2), so that
-1 - cos theta = 2 h^2 loses nothing to cancellation near theta = 0:
+1 - cos theta = 2 h^2 loses nothing to cancellation near theta = 0.
+With D = (1 - r) + 2 r h^2, R = sqrt((1 - r)^2 + 4 r h^2) and
+A(x) = atan(x) / x, the table _FORMS holds one row per (variant, sphere):
 
-    sphere    model         phi(theta)
-    Hilbert   Geometric     c / ((1 - r) + 2 r h^2)
-    S^2       Geometric     c / sqrt((1 - r)^2 + 4 r h^2)
-    Hilbert   PoissonType   exp(-2 c h^2)
+    sphere    model         phi(theta)                         units
+    Hilbert   Geometric     c / D                              10
+    S^2       Geometric     c / R                              10
+    S^3       Geometric     c A(x) / D,  x = r sin(theta) / D  14
+    S^4       Geometric     c 4 / ((1 + r + R)(1 - r + R))     12
+    Hilbert   PoissonType   exp(-2 c h^2)                      5
 
-The S^2 form is the Legendre generating function (DLMF 18.12.11).  With
-u = 2^-53, gamma_n = n u / (1 - n u) (Higham, *Accuracy and Stability
-of Numerical Algorithms*, 3.1) and libm's sin and exp within one ulp
-(2u relative), h^2 is within gamma_5 relative and 2 r h^2 or 4 r h^2
-within gamma_6 (2r and 4r are exact); 1 - r is exact for r >= 1/2 and
-within u otherwise, and (1 - r)^2 within gamma_3.  A sum of two
-nonnegative terms keeps the larger relative error and adds a rounding,
-so the Hilbert denominator is within gamma_7 and the quotient within
-gamma_8 (Higham, Lemma 3.3).  On S^2 the square root halves gamma_7 and
-adds a rounding, gamma_5, and the quotient is within gamma_6.  Both
-values are at most c / (1 - r), so each is within 10 u c / (1 - r): the
-units past 8 cover the roundings of c / (1 - r) and of the bound
-itself, and an h^2 that underflows (2^-1072 absolute at most in
-4 r h^2, against a denominator of at least 2^-106).  For PoissonType,
-x = -2 c h^2 is within gamma_6 relative, so for |x| <= 746
+A row's units bound its rounding error in units of u = 2^-53 of the
+model's mass: c / (1 - r) for Geometric and 1 for PoissonType.  Since
+1 - 2 r cos theta + r^2 = R^2, the S^2 form is the Legendre generating
+function (DLMF 18.12.11).  On S^3, g_k = sin((k+1) theta) /
+((k+1) sin theta), so sum_k r^k g_k = Im(-log(1 - r e^(i theta))) /
+(r sin theta) = atan(r sin theta / D) / (r sin theta) = A(x) / D, with
+A(0) = 1 where sin theta = 0.  On S^4, C_k^(3/2)(1) = (k+1)(k+2)/2, so
+integrating the generating function (1 - 2 t z + z^2)^(-3/2) (DLMF
+18.12.4) twice in z gives 2 (R - D) / (r^2 sin^2 theta); multiplied
+through by R + D, using R^2 - D^2 = r^2 sin^2 theta, that is
+2 / (D + R) = 4 / ((1 + r + R)(1 - r + R)), as (1 + R)^2 - r^2 =
+2 (D + R).  It subtracts nothing, is c / (1 - r) at theta = 0 and c at
+r = 0; the code evaluates c (2 / (D + R)).
+
+The bounds take gamma_n = n u / (1 - n u) (Higham, *Accuracy and
+Stability of Numerical Algorithms*, 3.1) and libm's sin, atan and exp
+within one ulp (2u relative).  h^2 is within gamma_5 relative and
+2 r h^2 or 4 r h^2 within gamma_6 (2r and 4r are exact); 1 - r is exact
+for r >= 1/2 and within u otherwise, and (1 - r)^2 within gamma_3.  A
+sum of two nonnegative terms keeps the larger relative error and adds
+a rounding, so D is within gamma_7, and c / D within gamma_8 (Higham,
+Lemma 3.3).  The square root halves the gamma_7 of R^2 and adds a
+rounding, so R and c / R are within gamma_5 and gamma_6.  On S^4,
+D + R is within gamma_8, 2 / (D + R) within gamma_9 and the product with
+c within gamma_10.  On S^3, x = (r sin theta) / D is computed as
+x (1 + e_4) / (1 + e_D), with |e_4| <= gamma_4 (sin and two roundings)
+and |e_D| <= gamma_7.  A is even and decreasing in |x|, with elasticity
+k = d log A / d log x = x / (atan(x) (1 + x^2)) - 1 in [-1, 0], so
+A(x_computed) / D_computed = (A(x) / D) (1 + e_4)^k (1 + e_D)^(-1-k),
+with k taken between the two x: both exponents lie in [-1, 0] and sum
+to -1, so the product of the two factors lies between 1 / (1 + e_4) and
+1 / (1 + e_D) and is within gamma_7.  atan and the division by x
+add gamma_3, and the division by D and the product with c gamma_2: the
+value is within gamma_12.  For |x| < 1e-4 the code takes
+A = 1 - x^2 / 3, whose truncation x^4 / 5 < 0.2 u and three roundings
+(two of them on a term below 4e-9) stay inside the gamma_3 of atan.
+Every Geometric form is at most c / (1 - r), as |g_k| <= 1.  So the
+Hilbert and S^2 values are within 10 u, S^4 within 12 u and S^3 within
+14 u of c / (1 - r): the units past gamma's index cover the roundings
+of c / (1 - r) and of the bound itself, and an h^2 that underflows
+(2^-1072 absolute at most in 4 r h^2, against a D of at least 2^-53
+and an R^2 of at least 2^-106).  For PoissonType, x = -2 c h^2 is
+within gamma_6 relative, so for |x| <= 746
 |exp(x (1 + e)) - exp(x)| <= exp(x) |x e| exp(|x e|) <= gamma_6 (1 + 1e-12) / e,
 since y exp(-y) <= 1/e; past 746 both values are below 2^-1075.  exp's
-own ulp adds 2u, so the value is within 5u, the mass being 1.  A form
-is taken only where tol is a positive number and the form's bound is at
-most tol; otherwise the series above is summed (at tol = 1e-300, say).
+own ulp adds 2u, so the value is within 5u, the mass being 1.  Every
+form multiplies c by a factor of at most 1 / (1 - r) last or divides c,
+so none overflows where the mass is finite.  A form is taken only where
+tol is a positive number and the row's bound is at most tol; otherwise
+the series above is summed (at tol = 1e-300, say).
 """
 
 from __future__ import annotations
@@ -71,6 +105,7 @@ from __future__ import annotations
 import math
 import sys
 from array import array
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -283,38 +318,93 @@ def _half_chord_squared(theta: float) -> float:
     return h * h
 
 
-# the rounding bounds of the closed forms in units of 2^-53 of the
-# model's mass, derived in the module docstring
-_GEOMETRIC_FORM_UNITS = 10
-_POISSON_FORM_UNITS = 5
+def _hilbert_geometric(model: Geometric):
+    c, d, two_r = model.c, 1.0 - model.r, 2.0 * model.r
+    return lambda theta: c / (d + two_r * _half_chord_squared(theta))
+
+
+def _s2_geometric(model: Geometric):
+    c, d = model.c, 1.0 - model.r
+    d2, four_r = d * d, 4.0 * model.r
+    return lambda theta: c / math.sqrt(d2 + four_r * _half_chord_squared(theta))
+
+
+def _s3_geometric(model: Geometric):
+    c, r, d, two_r = model.c, model.r, 1.0 - model.r, 2.0 * model.r
+
+    def form(theta):
+        den = d + two_r * _half_chord_squared(theta)
+        x = r * math.sin(theta) / den
+        a = 1.0 - x * x / 3.0 if abs(x) < 1e-4 else math.atan(x) / x
+        return c * (a / den)
+
+    return form
+
+
+def _s4_geometric(model: Geometric):
+    c, d = model.c, 1.0 - model.r
+    d2, two_r, four_r = d * d, 2.0 * model.r, 4.0 * model.r
+
+    def form(theta):
+        h2 = _half_chord_squared(theta)
+        # c times the bounded factor, since 2c overflows for c near the float maximum
+        return c * (2.0 / ((d + two_r * h2) + math.sqrt(d2 + four_r * h2)))
+
+    return form
+
+
+def _hilbert_poisson(model: PoissonType):
+    c = model.c
+    # c * (2 h^2) rather than 2c: 2c overflows for c near the float maximum
+    return lambda theta: math.exp(-(c * (2.0 * _half_chord_squared(theta))))
+
+
+def _geometric_mass(model: Geometric) -> float:
+    return model.c / (1.0 - model.r)
+
+
+def _unit_mass(model: PoissonType) -> float:
+    return 1.0
+
+
+@dataclass(frozen=True)
+class _Form:
+    """A closed form: ``make(model)`` is theta -> phi(theta), within
+    ``units`` * 2^-53 * ``mass(model)`` of the kernel's value."""
+
+    make: Callable[[SequenceModel], Callable[[float], float]]
+    units: int
+    mass: Callable[[SequenceModel], float]
+
+
+# (variant, sphere) -> its closed form; the forms and their units are
+# derived in the module docstring
+_FORMS = {
+    (Geometric, None): _Form(_hilbert_geometric, 10, _geometric_mass),
+    (Geometric, 2): _Form(_s2_geometric, 10, _geometric_mass),
+    (Geometric, 3): _Form(_s3_geometric, 14, _geometric_mass),
+    (Geometric, 4): _Form(_s4_geometric, 12, _geometric_mass),
+    (PoissonType, None): _Form(_hilbert_poisson, 5, _unit_mass),
+}
+
+
+def _form_bound(form: _Form, model: SequenceModel) -> float:
+    return form.units * 2.0 ** -53 * form.mass(model)
 
 
 def _kernel_form(model: SequenceModel, dimension: int | None, tol: float):
     """theta -> phi(theta) in closed form, or None where the series is summed.
 
-    The forms (Geometric on the Hilbert sphere and S^2, PoissonType on the
-    Hilbert sphere) and their rounding bounds are in the module docstring;
-    a form is returned only where its bound is at most tol.  Raises
-    ToleranceUnreachable unless tol is a positive number.
+    The forms are the rows of _FORMS; a form is returned only where its
+    rounding bound is at most tol.  Raises ToleranceUnreachable unless
+    tol is a positive number.
     """
     if not tol > 0.0:
         raise ToleranceUnreachable(f"tolerance must be positive, got {tol}")
-    if isinstance(model, Geometric) and dimension in (None, 2):
-        c, d = model.c, 1.0 - model.r
-        if _GEOMETRIC_FORM_UNITS * 2.0 ** -53 * (c / d) > tol:
-            return None
-        if dimension is None:
-            two_r = 2.0 * model.r
-            return lambda theta: c / (d + two_r * _half_chord_squared(theta))
-        d2, four_r = d * d, 4.0 * model.r
-        return lambda theta: c / math.sqrt(d2 + four_r * _half_chord_squared(theta))
-    if isinstance(model, PoissonType) and dimension is None:
-        if _POISSON_FORM_UNITS * 2.0 ** -53 > tol:
-            return None
-        c = model.c
-        # c * (2 h^2) rather than 2c: 2c overflows for c near the float maximum
-        return lambda theta: math.exp(-(c * (2.0 * _half_chord_squared(theta))))
-    return None
+    form = _FORMS.get((type(model), dimension))
+    if form is None or _form_bound(form, model) > tol:
+        return None
+    return form.make(model)
 
 
 def _hilbert_sum(prefix: _Prefix, u: float, tol: float) -> float:
@@ -361,9 +451,9 @@ def phi_eval_d(spec: KernelSpec, theta: float, tol: float = 1e-10) -> float:
     """d-sphere series sum_k a_k C_k^lam(cos theta)/C_k^lam(1) within tol.
 
     The remainder after truncation is bounded by the angle's envelope
-    times the coefficient tail; Geometric models on S^2 take their
-    closed form where its rounding bound fits in tol (see the module
-    docstring).
+    times the coefficient tail; Geometric models on S^2, S^3 and S^4
+    take their closed form where its rounding bound fits in tol (see
+    the module docstring).
     """
     if not isinstance(spec, KernelSpec) or spec.dimension is None:
         raise ValueError("phi_eval_d needs a KernelSpec with a finite dimension")

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import random
@@ -372,23 +373,102 @@ def _mp_hilbert_poisson(c, theta):
         return mpmath.fsum(terms)
 
 
-def _geometric_form_bound(model):
-    return kernels._GEOMETRIC_FORM_UNITS * 2.0**-53 * model.c / (1.0 - model.r)
+def _mp_s3_geometric(c, r, theta):
+    """sum_k c r^k sin((k+1) theta) / ((k+1) sin theta) at 40 digits, as
+    c Im(-log(1 - r e^(i theta))) / (r sin theta), and c / (1 - r) at theta = 0."""
+    with mpmath.workdps(40):
+        c, r, theta = mpmath.mpf(c), mpmath.mpf(r), mpmath.mpf(theta)
+        if theta == 0:
+            return c / (1 - r)
+        return c * mpmath.im(-mpmath.log(1 - r * mpmath.exp(1j * theta))) / (r * mpmath.sin(theta))
 
 
-def _assert_geometric_form_within_its_bound(dimension, oracle):
+def _mp_s4_geometric(c, r, theta):
+    """sum_k c r^k C_k^(3/2)(t) / C_k^(3/2)(1) at t = cos theta, as the
+    generating function (1 - 2 t z + z^2)^(-3/2) integrated twice in z,
+    2 c (sqrt(1 - 2 r t + r^2) - 1 + r t) / (r^2 (1 - t^2)), and c / (1 - r)
+    at theta = 0.  Both differences cancel up to 32 digits at theta = pi,
+    so they are taken at 80.
+    """
+    with mpmath.workdps(80):
+        c, r, theta = mpmath.mpf(c), mpmath.mpf(r), mpmath.mpf(theta)
+        if theta == 0:
+            return c / (1 - r)
+        t = mpmath.cos(theta)
+        return 2 * c * (mpmath.sqrt(1 - 2 * r * t + r * r) - 1 + r * t) / (r * r * (1 - t * t))
+
+
+# 0.99^5600 < 1e-24: the normalized Gegenbauer values the S^3 and S^4 oracles sum
+_DECIMAL_TERMS = 5600
+
+
+@functools.lru_cache(maxsize=None)
+def _decimal_normalized_gegenbauer(lam, theta):
+    """g_k(cos theta) for k < _DECIMAL_TERMS by the normalized recurrence
+    g_k = (2 (k + lam - 1) t g_{k-1} - (k - 1) g_{k-2}) / (k + 2 lam - 1)
+    in 40-digit decimal arithmetic, from the float theta's cosine to 40 digits."""
+    with mpmath.workdps(40):
+        t = Decimal(mpmath.nstr(_mp_cos(theta), 40))
+    with localcontext() as ctx:
+        ctx.prec = 40
+        lam = Decimal(lam)
+        values = [Decimal(1), t]
+        for k in range(2, _DECIMAL_TERMS):
+            values.append((2 * (k + lam - 1) * t * values[-1] - (k - 1) * values[-2]) / (k + 2 * lam - 1))
+        return values
+
+
+def _decimal_geometric(c, r, dimension, theta):
+    """sum_k c r^k g_k(cos theta) over the recurrence above, at 40 digits.
+
+    The sum stops where r^k < 1e-24; as |g_k| <= 1 the rest is below
+    1e-24 c / (1 - r), under 1e-7 of a unit of any form's bound.
+    """
+    values = _decimal_normalized_gegenbauer((dimension - 1) / 2.0, theta)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        r, power, total = Decimal(r), Decimal(1), Decimal(0)
+        for value in values:
+            if power < Decimal("1e-24"):
+                break
+            total += power * value
+            power *= r
+        assert power < Decimal("1e-24")
+        total *= Decimal(c)
+    with mpmath.workdps(40):
+        return mpmath.mpf(str(total))
+
+
+# an oracle for every row of kernels._FORMS: (model, theta) -> phi(theta),
+# sharing no code with the form
+_FORM_ORACLES = {
+    (Geometric, None): lambda model, theta: _mp_hilbert_geometric(model.c, model.r, theta),
+    (Geometric, 2): lambda model, theta: _mp_s2_geometric(model.c, model.r, theta),
+    (Geometric, 3): lambda model, theta: _decimal_geometric(model.c, model.r, 3, theta),
+    (Geometric, 4): lambda model, theta: _decimal_geometric(model.c, model.r, 4, theta),
+    (PoissonType, None): lambda model, theta: _mp_hilbert_poisson(model.c, theta),
+}
+
+
+def _form_bound(model, dimension):
+    return kernels._form_bound(kernels._FORMS[type(model), dimension], model)
+
+
+def _assert_geometric_form_within_its_bound(dimension, oracle, ratios, angles):
     tol = 1e-6  # above every bound on the grid, so the form is taken
-    for c, r in [(0.3, r) for r in _FORM_RATIOS] + [(0.0, 0.5)]:
+    for c, r in [(0.3, r) for r in ratios] + [(0.0, 0.5)]:
         model = Geometric(c, r)
-        bound = _geometric_form_bound(model)
+        bound = _form_bound(model, dimension)
         assert bound <= tol and kernels._kernel_form(model, dimension, tol) is not None
-        for theta in _FORM_ANGLES:
+        for theta in angles:
             got = phi_eval(KernelSpec(dimension, model), theta, tol)
-            assert abs(got - oracle(c, r, theta)) <= bound, (c, r, theta)
+            with mpmath.workdps(40):
+                assert abs(got - oracle(model, theta)) <= bound, (c, r, theta)
 
 
 def test_hilbert_geometric_matches_generating_function():
-    _assert_geometric_form_within_its_bound(None, _mp_hilbert_geometric)
+    oracle = _FORM_ORACLES[Geometric, None]
+    _assert_geometric_form_within_its_bound(None, oracle, _FORM_RATIOS, _FORM_ANGLES)
     # the series path still cuts its prefix short where |cos theta| < 1
     model, tol = PowerLaw(1.0, 3.5), 1e-10
     prefix = kernels._coefficient_prefix(model, tol)
@@ -401,18 +481,41 @@ def test_hilbert_geometric_matches_generating_function():
 
 
 def test_s2_geometric_matches_generating_function():
-    _assert_geometric_form_within_its_bound(2, _mp_s2_geometric)
+    oracle = _FORM_ORACLES[Geometric, 2]
+    _assert_geometric_form_within_its_bound(2, oracle, _FORM_RATIOS, _FORM_ANGLES)
+
+
+# the S^3 and S^4 forms are checked on this grid, and at c = 0
+_GEGENBAUER_FORM_ANGLES = (0.0, 1e-8, 1e-5, 1e-3, 0.7, 2.0, 3.1, math.pi, -0.4, 7.0)
+_GEGENBAUER_FORM_RATIOS = (0.0, 0.3, 0.5, 0.9, 0.99)
+
+
+@pytest.mark.parametrize(
+    "dimension, generating_function", [(3, _mp_s3_geometric), (4, _mp_s4_geometric)]
+)
+def test_s3_s4_geometric_match_the_gegenbauer_recurrence(dimension, generating_function):
+    oracle = _FORM_ORACLES[Geometric, dimension]
+    _assert_geometric_form_within_its_bound(
+        dimension, oracle, _GEGENBAUER_FORM_RATIOS, _GEGENBAUER_FORM_ANGLES
+    )
+    # r = 1 - 2^-20 would need about 5e7 terms; its generating function,
+    # written otherwise than the form, instead
+    oracle = lambda model, theta: generating_function(model.c, model.r, theta)
+    _assert_geometric_form_within_its_bound(
+        dimension, oracle, (1.0 - 2.0**-20,), _GEGENBAUER_FORM_ANGLES
+    )
 
 
 def test_hilbert_poisson_matches_its_series():
     tol = 1e-10
-    bound = kernels._POISSON_FORM_UNITS * 2.0**-53
+    oracle = _FORM_ORACLES[PoissonType, None]
     for c in (0.0, 0.5, 2.0, 50.0, 1e3):
         model = PoissonType(c)
+        bound = _form_bound(model, None)
         assert kernels._kernel_form(model, None, tol) is not None
         for theta in _FORM_ANGLES:
             got = phi_eval_inf(model, theta, tol)
-            assert abs(got - _mp_hilbert_poisson(c, theta)) <= bound, (c, theta)
+            assert abs(got - oracle(model, theta)) <= bound, (c, theta)
 
 
 @pytest.mark.parametrize("theta", [1e-5, 1e-4, 1e-3])
@@ -424,37 +527,66 @@ def test_s2_geometric_near_zero_meets_the_tolerance(theta):
     assert abs(got - _mp_s2_geometric(1.0, 0.99, theta)) <= tol
 
 
+def test_geometric_forms_near_the_float_maximum():
+    # 4c overflows for the first model and 2c for the second, but neither
+    # their masses (1.6e308 and 1.67e308) nor any form
+    rows = [dimension for variant, dimension in kernels._FORMS if variant is Geometric]
+    assert rows == [None, 2, 3, 4]
+    for model in (Geometric(8e307, 0.5), Geometric(1.5e308, 0.1)):
+        c, r = Fraction(model.c), Fraction(model.r)
+        for dimension in rows:
+            bound = _form_bound(model, dimension)
+            assert kernels._kernel_form(model, dimension, 1e300) is not None
+            # every normalized basis value is (+-1)^k at theta = 0 and pi
+            for theta, want in ((0.0, c / (1 - r)), (math.pi, c / (1 + r))):
+                got = phi_eval(KernelSpec(dimension, model), theta, 1e300)
+                assert abs(Fraction(got) - want) <= bound, (model, dimension, theta)
+
+
+# for every row of kernels._FORMS, a model and its series value at theta = 0.7
+# and tol = 1e-300, as summed before the row's form existed
+_FALLBACK_CASES = {
+    (Geometric, None): (Geometric(1.0, 0.5), 1.6192262878562635),
+    (Geometric, 2): (Geometric(1.0, 0.5), 1.4356827599495945),
+    (Geometric, 3): (Geometric(1.0, 0.5), 1.4925142983379065),
+    (Geometric, 4): (Geometric(1.0, 0.5), 1.5219407383680337),
+    (PoissonType, None): (PoissonType(2.0), 0.6248050328002883),
+}
+
+
 def test_forms_fall_back_to_the_series_below_their_bounds():
-    cases = [
-        (None, Geometric(1.0, 0.5), 1.6192262878562635),
-        (2, Geometric(1.0, 0.5), 1.4356827599495945),
-        (None, PoissonType(2.0), 0.6248050328002883),
-    ]
-    for dimension, model, series_value in cases:
+    for (_, dimension), (model, series_value) in _FALLBACK_CASES.items():
         # a tol below the rounding bound sums the series, bit for bit as before
         got = phi_eval(KernelSpec(dimension, model), 0.7, 1e-300)
         assert got == series_value == kernels._series(model, dimension, 0.7, 1e-300)
-        bound = (
-            kernels._POISSON_FORM_UNITS * 2.0**-53
-            if isinstance(model, PoissonType)
-            else _geometric_form_bound(model)
-        )
+        bound = _form_bound(model, dimension)
         assert kernels._kernel_form(model, dimension, bound) is not None
         assert kernels._kernel_form(model, dimension, math.nextafter(bound, 0.0)) is None
     # a zero mass has a zero bound, and tol is still validated first
     for tol in (0.0, -1e-10, math.nan):
-        for dimension in (None, 2):
+        for dimension in (None, 2, 3, 4):
             with pytest.raises(ToleranceUnreachable):
                 phi_eval(KernelSpec(dimension, Geometric(0.0, 0.5)), 0.7, tol)
     # no form on the other spheres, nor for the other variants
     for dimension, model in [
         (1, Geometric(1.0, 0.5)),
-        (3, Geometric(1.0, 0.5)),
+        (5, Geometric(1.0, 0.5)),
         (2, PoissonType(2.0)),
         (None, PowerLaw(1.0, 3.5)),
         (None, Finite((0.5, 0.5))),
     ]:
         assert kernels._kernel_form(model, dimension, 1e-3) is None
+
+
+def test_every_form_has_an_oracle_and_a_fallback_case():
+    # a row cannot land untested: each needs an oracle and a recorded series value
+    for key in kernels._FORMS:
+        assert key in _FORM_ORACLES and key in _FALLBACK_CASES, key
+        model, _ = _FALLBACK_CASES[key]
+        got = phi_eval(KernelSpec(key[1], model), 0.7, 1e-6)
+        with mpmath.workdps(40):
+            assert abs(got - _FORM_ORACLES[key](model, 0.7)) <= _form_bound(model, key[1]), key
+    assert set(_FORM_ORACLES) == set(_FALLBACK_CASES) == set(kernels._FORMS)
 
 
 @pytest.mark.parametrize("dimension", [2, 3, 4])
