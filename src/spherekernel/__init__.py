@@ -18,8 +18,8 @@ import importlib
 _EXPORTS = {
     "asymptotics": (
         "ConvergenceTrace", "LeadingCoeffTable", "asymptotic_ratio", "build_leading_table",
-        "even_binomial_sum", "limit_constant_report", "odd_binomial_sum", "scaled_sum",
-        "trace_convergence",
+        "constant_ratios", "even_binomial_sum", "limit_constant_report", "odd_binomial_sum",
+        "scaled_sum", "trace_convergence",
     ),
     "derivatives": (
         "DerivTable", "SinCosPoly", "build_deriv_table", "cos_power_derivative",

@@ -161,6 +161,24 @@ def trace_convergence(
     return ConvergenceTrace(ell, parity, js, values, values[-1])
 
 
+def constant_ratios(even: ConvergenceTrace, odd: ConvergenceTrace) -> dict:
+    """The even/odd ratio of two traces' constants, and the even constant
+    over 2^ell times the diagonal growth coefficient (2 ell - 1)!!.
+
+    That growth leaves float range from ell = 135 on; there the exact
+    quotient is rounded once instead, which may give a subnormal float.
+    """
+    growth = 2 ** even.ell * _diagonal_polynomial(even.ell)[-1]
+    try:
+        over_growth = even.estimated_constant / growth
+    except OverflowError:
+        over_growth = float(Fraction(even.estimated_constant) / growth)
+    return {
+        "even_over_odd": even.estimated_constant / odd.estimated_constant,
+        "even_over_diagonal_growth": over_growth,
+    }
+
+
 def limit_constant_report(ell: int, sample_js=(256, 512, 1024, 2048)) -> dict:
     """Empirical limit constants for both parities plus their measured ratios.
 
@@ -170,12 +188,9 @@ def limit_constant_report(ell: int, sample_js=(256, 512, 1024, 2048)) -> dict:
     """
     even = trace_convergence(ell, "even", sample_js)
     odd = trace_convergence(ell, "odd", sample_js)
-    diag_growth = _diagonal_polynomial(ell)[-1]  # g[ell, ell] = (2 ell - 1)!!
     return {
         "ell": ell,
         "even_constant": even.estimated_constant,
         "odd_constant": odd.estimated_constant,
-        "even_over_odd": even.estimated_constant / odd.estimated_constant,
-        "even_over_diagonal_growth": even.estimated_constant
-        / (2 ** ell * diag_growth),
+        **constant_ratios(even, odd),
     }

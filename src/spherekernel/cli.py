@@ -6,6 +6,8 @@ are always serialized as decimal strings, never floats; btable and ctable
 stream rows of Decimal cells, since CPython's int -> str is quadratic and
 refuses ints past sys.get_int_max_str_digits().  Decimal prints in linear
 time with no limit, in a context that keeps every cell exact (rounding traps).
+Every result but verify's leaves through _write, or _write_table for the
+two streamed tables; no other code reads --format.
 
 Each command imports only the library modules it calls, inside its
 handler, so a fresh process pays for no other: btable loads derivatives,
@@ -53,9 +55,8 @@ def to_json(obj) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
-def _emit(text, path: str | None) -> None:
-    """Write text, or chunks computed in the exact context as they come, to path or stdout."""
-    chunks = [text if text.endswith("\n") else text + "\n"] if isinstance(text, str) else text
+def _emit(chunks, path: str | None) -> None:
+    """Write chunks, computed in the exact context as they come, to path or stdout."""
     try:
         sink = open(path, "w") if path else nullcontext(sys.stdout)
     except OSError as exc:
@@ -65,28 +66,36 @@ def _emit(text, path: str | None) -> None:
         out.writelines(chunks)
 
 
-def _table_json(fields: dict, rows, n1_of):
-    """to_json({**fields, "cells": cells}) + newline, one chunk a row; row i holds n2 = 0, 1, ..."""
-    head, tail = to_json({**fields, "cells": []}).split("[]")
-    yield head + "["
-    for i, row in enumerate(rows):
-        cells = (_JSON_CELL % (n1_of(i, n2), n2, v) for n2, v in enumerate(row))
-        yield ", " * (i > 0) + ", ".join(cells)
-    yield "]" + tail + "\n"
+def _write(args, payload: dict, header: str, lines) -> None:
+    """Write one result as --format asks: to_json(payload) or the CSV header and lines."""
+    if args.format == "json":
+        _emit([to_json(payload) + "\n"], args.output)
+    else:
+        _emit((line + "\n" for line in (header, *lines)), args.output)
 
 
-def _deriv_csv(power: int, rows):
-    """CSV lines j,n1,n2,value of rows from deriv_rows: the header, then one chunk a row."""
-    yield "j,n1,n2,value\n"
-    for level, row in enumerate(rows):
-        yield "".join(f"{power},{level - n2},{n2},{value}\n" for n2, value in enumerate(row))
+def _write_table(args, fields: dict, rows, n1_of, csv_lead: tuple) -> None:
+    """Stream a table whose row i holds n2 = 0, 1, ..., one chunk a row.
 
+    JSON is to_json({**fields, "cells": cells}); CSV lines hold the fields
+    named in csv_lead, then n1,n2,value.
+    """
+    if args.format == "json":
+        head, tail = to_json({**fields, "cells": []}).split("[]")
+        first, cell, sep, last = head + "[", _JSON_CELL, ", ", "]" + tail + "\n"
+    else:
+        first = "".join(f"{name}," for name in csv_lead) + "n1,n2,value\n"
+        cell = "".join(f"{fields[name]}," for name in csv_lead) + "%d,%d,%s\n"
+        sep, last = "", ""
 
-def _leading_csv(rows):
-    """CSV lines n1,n2,value of rows from leading_rows: the header, then one chunk a row."""
-    yield "n1,n2,value\n"
-    for n1, row in enumerate(rows):
-        yield "".join(f"{n1},{n2},{value}\n" for n2, value in enumerate(row))
+    def chunks():
+        yield first
+        for i, row in enumerate(rows):
+            cells = (cell % (n1_of(i, n2), n2, v) for n2, v in enumerate(row))
+            yield sep * (i > 0) + sep.join(cells)
+        yield last
+
+    _emit(chunks(), args.output)
 
 
 def _load_model(parser: argparse.ArgumentParser, raw: str):
@@ -127,21 +136,9 @@ def cmd_eval(parser, args) -> int:
             parser.error(f"--theta: values must lie in [0, pi], got {theta}")
     spec = kernels.KernelSpec(dim, model)
     values = [kernels.phi_eval(spec, theta, args.tol) for theta in args.theta]
-    if args.format == "csv":
-        lines = ["theta,phi"] + [f"{t!r},{v!r}" for t, v in zip(args.theta, values)]
-        _emit("\n".join(lines) + "\n", args.output)
-    else:
-        _emit(
-            to_json(
-                {
-                    "sphere": "inf" if dim is None else dim,
-                    "theta": list(args.theta),
-                    "phi": values,
-                    "tol": args.tol,
-                }
-            ),
-            args.output,
-        )
+    payload = {"sphere": "inf" if dim is None else dim, "theta": list(args.theta),
+               "phi": values, "tol": args.tol}
+    _write(args, payload, "theta,phi", (f"{t!r},{v!r}" for t, v in zip(args.theta, values)))
     return EXIT_OK
 
 
@@ -149,11 +146,8 @@ def cmd_btable(parser, args) -> int:
     from . import derivatives
 
     rows = derivatives.deriv_rows(args.j, args.order, Decimal(1))
-    if args.format == "csv":
-        chunks = _deriv_csv(args.j, rows)
-    else:
-        chunks = _table_json({"j": args.j, "max_order": args.order}, rows, lambda n, n2: n - n2)
-    _emit(chunks, args.output)
+    fields = {"j": args.j, "max_order": args.order}
+    _write_table(args, fields, rows, lambda level, n2: level - n2, ("j",))
     return EXIT_OK
 
 
@@ -161,11 +155,7 @@ def cmd_ctable(parser, args) -> int:
     from . import asymptotics
 
     rows = asymptotics.leading_rows(args.max_n, Decimal(1))
-    if args.format == "csv":
-        chunks = _leading_csv(rows)
-    else:
-        chunks = _table_json({"max_n": args.max_n}, rows, lambda n1, n2: n1)
-    _emit(chunks, args.output)
+    _write_table(args, {"max_n": args.max_n}, rows, lambda n1, n2: n1, ())
     return EXIT_OK
 
 
@@ -180,31 +170,26 @@ def cmd_asymptotics(parser, args) -> int:
         js = [args.max_j // 8, args.max_j // 4, args.max_j // 2, args.max_j]
     parities = ("even", "odd") if args.parity == "both" else (args.parity,)
     traces = [asymptotics.trace_convergence(args.ell, p, js) for p in parities]
-    if args.format == "csv":
-        lines = ["ell,parity,j,scaled_value"] + [
-            f"{tr.ell},{tr.parity},{j},{value!r}"
+    payload = {
+        "ell": args.ell,
+        "traces": [
+            {
+                "parity": tr.parity,
+                "js": list(tr.sample_js),
+                "scaled_values": list(tr.scaled_values),
+                "estimated_constant": tr.estimated_constant,
+            }
             for tr in traces
-            for j, value in zip(tr.sample_js, tr.scaled_values)
-        ]
-        _emit("\n".join(lines) + "\n", args.output)
-    else:
-        payload = {
-            "ell": args.ell,
-            "traces": [
-                {
-                    "parity": tr.parity,
-                    "js": list(tr.sample_js),
-                    "scaled_values": list(tr.scaled_values),
-                    "estimated_constant": tr.estimated_constant,
-                }
-                for tr in traces
-            ],
-        }
-        if args.parity == "both":
-            report = asymptotics.limit_constant_report(args.ell, tuple(js))
-            payload["even_over_odd"] = report["even_over_odd"]
-            payload["even_over_diagonal_growth"] = report["even_over_diagonal_growth"]
-        _emit(to_json(payload), args.output)
+        ],
+    }
+    if args.parity == "both":
+        payload.update(asymptotics.constant_ratios(*traces))
+    lines = (
+        f"{tr.ell},{tr.parity},{j},{value!r}"
+        for tr in traces
+        for j, value in zip(tr.sample_js, tr.scaled_values)
+    )
+    _write(args, payload, "ell,parity,j,scaled_value", lines)
     return EXIT_OK
 
 
@@ -216,20 +201,9 @@ def cmd_transform(parser, args) -> int:
         seq = transform.circle_sequence(model, args.tol)
     else:
         seq = transform.circle_sequence_to(model, args.max_index, args.tol)
-    if args.format == "csv":
-        lines = ["n,value"] + [f"{n},{v!r}" for n, v in enumerate(seq.terms)]
-        _emit("\n".join(lines) + "\n", args.output)
-    else:
-        _emit(
-            to_json(
-                {
-                    "coefficients": list(seq.terms),
-                    "max_index": seq.max_index,
-                    "per_term_tol": seq.per_term_tol,
-                }
-            ),
-            args.output,
-        )
+    payload = {"coefficients": list(seq.terms), "max_index": seq.max_index,
+               "per_term_tol": seq.per_term_tol}
+    _write(args, payload, "n,value", (f"{n},{v!r}" for n, v in enumerate(seq.terms)))
     return EXIT_OK
 
 
@@ -242,14 +216,11 @@ def cmd_classify(parser, args) -> int:
         report = transform.classify_inf(model, args.ell_max)
     else:
         report = transform.classify_d(model, args.ell_max)
-    if args.format == "csv":
-        lines = ["ell,converges,value"] + [
-            f"{v.ell},{str(v.converges).lower()},{'' if v.value is None else repr(v.value)}"
-            for v in report.per_ell
-        ]
-        _emit("\n".join(lines) + "\n", args.output)
-    else:
-        _emit(to_json(report.to_dict()), args.output)
+    lines = (
+        f"{v.ell},{str(v.converges).lower()},{'' if v.value is None else repr(v.value)}"
+        for v in report.per_ell
+    )
+    _write(args, report.to_dict(), "ell,converges,value", lines)
     return EXIT_OK
 
 

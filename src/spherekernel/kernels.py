@@ -138,13 +138,6 @@ class KernelSpec:
         if d is not None and not (type(d) is int and 1 <= d <= sys.float_info.max):
             raise ValueError(f"sphere dimension must be an integer in [1, float max], got {d!r}")
 
-    @property
-    def lam(self) -> float:
-        """Ultraspherical index (d - 1) / 2 of the finite-dimensional sphere."""
-        if self.dimension is None:
-            raise ValueError("the Hilbert sphere has no ultraspherical index")
-        return (self.dimension - 1) / 2.0
-
 
 @dataclass(frozen=True)
 class UnitVector:

@@ -194,7 +194,7 @@ class PoissonType:
             except OverflowError:
                 pass
         # log-domain form avoids overflow in c**m for large m or c
-        return math.exp(-c + m * math.log(c) - math.lgamma(m + 1))
+        return math.exp(self._log_term(m))
 
     def tail(self, start: int, ell: int) -> float:
         c = self.c

@@ -81,6 +81,9 @@ from .sequences import (
     weighted_tail_bound,
 )
 
+# circle_sequence gives up past this many terms
+_MAX_CIRCLE_TERMS = 4096
+
 
 def circle_coefficient(model: SequenceModel, n: int, tol: float = 1e-12) -> float:
     """Coefficient b_n of the rebuilt cosine series, within tol.
@@ -192,17 +195,13 @@ class CircleSequence:
     per_term_tol: float
 
 
-def circle_sequence(
-    model: SequenceModel, tol: float = 1e-10, max_terms: int = 4096
-) -> CircleSequence:
+def circle_sequence(model: SequenceModel, tol: float = 1e-10) -> CircleSequence:
     """Compute b_0..b_N with N chosen so the dropped tail mass is below tol.
 
     Since sum_n b_n equals sum_m a_m, the remaining mass after N terms is
     bounded by a tight certified upper bound on the model total minus the
     accumulated partial sum (padded by the per-term error budget).
     """
-    if max_terms < 0:
-        raise ValueError(f"max terms must be nonnegative, got {max_terms}")
     if not tol > 0.0:
         raise ToleranceUnreachable(f"tolerance must be positive, got {tol}")
     mass_upper = math.fsum(coefficient_prefix(model, tol / 4.0)) + tol / 4.0
@@ -210,7 +209,7 @@ def circle_sequence(
     circle_term = _circle_terms(model, per_tol)
     terms: list[float] = []
     partial = 0.0
-    for n in range(max_terms + 1):
+    for n in range(_MAX_CIRCLE_TERMS + 1):
         b = circle_term(n)
         terms.append(b)
         partial += b
@@ -218,7 +217,7 @@ def circle_sequence(
             return CircleSequence(tuple(terms), n, per_tol)
     raise ToleranceUnreachable(
         f"circle sequence did not capture the mass of {model!r} within "
-        f"{max_terms} terms at tolerance {tol}"
+        f"{_MAX_CIRCLE_TERMS} terms at tolerance {tol}"
     )
 
 

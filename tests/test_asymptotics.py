@@ -11,6 +11,7 @@ from spherekernel.asymptotics import (
     _PAIRINGS_OVERFLOW_ELL,
     asymptotic_ratio,
     build_leading_table,
+    constant_ratios,
     even_binomial_sum,
     leading_rows,
     limit_constant_report,
@@ -189,6 +190,25 @@ def test_limit_constant_report_shape():
     # the even and odd limits differ by a fixed factor of 4 (measured, not asserted)
     assert report["even_over_odd"] == pytest.approx(4.0, rel=0.05)
     assert report["even_over_diagonal_growth"] == pytest.approx(1.0, rel=0.01)
+
+
+@pytest.mark.parametrize("ell", [1, 134, 135, 200])
+def test_ratio_to_growth_is_the_quotient_rounded_once(ell):
+    # 2^ell (2 ell - 1)!! leaves float range at ell = 135: below, the float
+    # division of before; from there, the exact quotient rounded once
+    report = limit_constant_report(ell, (1, 2))
+    even = report["even_constant"]
+    growth = 2**ell * math.prod(range(1, 2 * ell, 2))
+    if ell < 135:
+        assert report["even_over_diagonal_growth"] == even / growth
+    else:
+        with pytest.raises(OverflowError):
+            float(growth)
+        assert report["even_over_diagonal_growth"] == float(Fraction(even) / growth)
+    if ell == 200:
+        assert 0.0 < report["even_over_diagonal_growth"] < sys.float_info.min
+    traces = (trace_convergence(ell, "even", (1, 2)), trace_convergence(ell, "odd", (1, 2)))
+    assert {**report, **constant_ratios(*traces)} == report
 
 
 def test_csv_exports(capsys):

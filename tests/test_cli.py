@@ -1,13 +1,18 @@
+import contextlib
 import hashlib
 import importlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import spherekernel
 
@@ -119,6 +124,62 @@ def test_streamed_tables_are_byte_identical_to_whole_documents(capsys, argv, sha
     code, out, err = run_cli(capsys, *argv)
     assert code == 0 and err == ""
     assert hashlib.sha1(out.encode()).hexdigest() == sha1
+
+
+_G = '{"variant":"geometric","c":0.5,"r":0.5}'
+_P = '{"variant":"powerlaw","C":1,"p":4.5}'
+_GOLDEN_ARGV = {
+    "eval-hilbert": ["eval", "--sphere", "inf", "--model", _G, "--theta", "0", "0.7", "3.14159"],
+    "eval-s2": ["eval", "--sphere", "2", "--model", _P, "--theta", "0", "1", "2"],
+    "eval-s4": ["eval", "--sphere", "4", "--model", '{"variant":"poisson","c":2}', "--theta", "0.3", "2.5"],
+    "eval-tol": ["eval", "--sphere", "3", "--model", '{"variant":"geometric","c":1,"r":0.9}',
+                 "--theta", "1", "--tol", "1e-6"],
+    "btable": ["btable", "--j", "40", "--order", "30"],
+    "ctable": ["ctable", "--max-n", "40"],
+    "asymptotics-js": ["asymptotics", "--ell", "2", "--js", "256", "64", "1024"],
+    "asymptotics-max-j": ["asymptotics", "--ell", "3", "--max-j", "64"],
+    "asymptotics-odd": ["asymptotics", "--ell", "3", "--max-j", "64", "--parity", "odd"],
+    "transform-auto": ["transform", "--model", _G, "--tol", "1e-8"],
+    "transform-max-index": ["transform", "--model", _P, "--max-index", "20"],
+    "classify-inf": ["classify", "--model", _P],
+    "classify-sphere": ["classify", "--model", _G, "--sphere", "2", "--ell-max", "4"],
+}
+# SHA-256 of stdout, recorded before every command wrote through one writer
+_GOLDEN_SHA256 = {
+    ("eval-hilbert", "json"): "432b67c327c01339cbf4f325462004e9b0b763e00f6083f7250ee25f0f6fe81c",
+    ("eval-hilbert", "csv"): "15ba1f7c10fd59bf46ce05ca095cd8bfd614dfda272c307a9b5f40cb867fbfae",
+    ("eval-s2", "json"): "eb4bcee4762e4b94f27cd2ad03b95cea50a30e83798961ae8cd0ac5f4b5925f9",
+    ("eval-s2", "csv"): "59b19f1adb76865bbf2c82334e68109acfaf526ac130b2be2fb7cdddd259d686",
+    ("eval-s4", "json"): "5d9eb994cd68e75aa28bcfe3bae0bd8d39fc026ac79362085e70081ea1c718c7",
+    ("eval-s4", "csv"): "e11cf5989cdb9b312eb413df7530c481c2d0078ce857b24b03fb12ae6e963f8a",
+    ("eval-tol", "json"): "6f6561e93b479335a1d7ede99ebbeeb8ceebbc1b6fd0efc95b35abb6010f9adf",
+    ("eval-tol", "csv"): "a577bd979c66086f17135f041fbde3c8eec6a1dfebf020e90ebfdd713a5c02f4",
+    ("btable", "json"): "446533316177307ac9651c018182aa944a57605d976b0fcb5094a768b5a496e5",
+    ("btable", "csv"): "13602a9bc395cc134eff26c0e2051fd54c02954285fd524ee91dd7316c1b32b6",
+    ("ctable", "json"): "6c805b0ceb7c5977e4a2928c8d37ea54f9220ced1b35b3a41c0c0484d757074a",
+    ("ctable", "csv"): "b5c2c45f5e4818263ca4d78ae2eecafbc48dbd0e0ec9680d6c1e8cc0232866f2",
+    ("asymptotics-js", "json"): "2c5e05fe54b1f24e854103da5f06a94fa256f4bea57765818d5a1e9f82da0cd0",
+    ("asymptotics-js", "csv"): "4c04073ae2d54d789f5188727517aa688a8351bf6195ac9d9688c7c6c25347a0",
+    ("asymptotics-max-j", "json"): "85aa353dc5baebacb895849364444bd6398451e8887a1ce02904e4bc0cf6dfda",
+    ("asymptotics-max-j", "csv"): "57e492d8e3c260457f13a5fe837351a4804cc127a9e9a0070b71daadf4db02fb",
+    ("asymptotics-odd", "json"): "810fdea6650b7c1630132cbec7bff2e821fd3b6c457c8f6809eeb4f5d6fcf5ba",
+    ("asymptotics-odd", "csv"): "024f265f245c1e805e201156f5f7643e0fe3945e65a17f1a1f95f1a52e190562",
+    ("transform-auto", "json"): "83b4cc5192edfbe807de60a3da574550a75c77843773fe3eca3d9706bea20846",
+    ("transform-auto", "csv"): "19b3fb8e94f86a01ebb5628e92182c05f32fa6b7435609ee0c519fdf7f174e8f",
+    ("transform-max-index", "json"): "cba497c7b92430a72d10c0540791a0184df36bd34cb228366464e7545180e3e4",
+    ("transform-max-index", "csv"): "562da557b4ad72fde6ee03b936093ea6232393f61f387044831eefaf0ccbd348",
+    ("classify-inf", "json"): "f8ea5741b46a1f34cc7d10b5feec5523b89d376dee8c848c31bd3f502c293781",
+    ("classify-inf", "csv"): "496e7e5806178965a7ddc70c517e8c954781dd486828d45ffb03707fbb280757",
+    ("classify-sphere", "json"): "4d0008691a6aa7bd70800338b93a74034a3c873b03216a79978c92c28846cdbc",
+    ("classify-sphere", "csv"): "9b7e41e477d4723ce8d3d646195a3da9ca2e0ea8a253914a777c268dbc32a1de",
+}
+
+
+@pytest.mark.parametrize("name, fmt", sorted(_GOLDEN_SHA256), ids="-".join)
+def test_every_command_writes_its_pinned_bytes(capsys, name, fmt):
+    code, out, err = run_cli(capsys, *_GOLDEN_ARGV[name], "--format", fmt)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == _GOLDEN_SHA256[name, fmt]
 
 
 @pytest.mark.parametrize("power, order", [(2, 1), (6, 3), (9, 8), (40, 30)])
@@ -417,6 +478,94 @@ def test_bad_env_tolerance_is_usage_error(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(_eval_argv(_GEOMETRIC))
     _assert_one_line_usage_error(capsys, exc)
+
+
+def _models(p_min, c_max):
+    """JSON text of models, valid and not; PowerLaw p >= p_min, scales <= c_max."""
+    scale = st.floats(0.0, c_max)
+    return st.one_of(
+        # a Geometric tail sums about ell / log(2 / (1 + r)) head terms, so r <= 0.99
+        st.builds(lambda c, r: {"variant": "geometric", "c": c, "r": r}, scale, st.floats(0.0, 0.99)),
+        st.builds(lambda c, p: {"variant": "powerlaw", "C": c, "p": p}, scale, st.floats(p_min, 8.0)),
+        # Poisson tails sum about 2c head terms, so c stays small enough to finish
+        st.builds(lambda c: {"variant": "poisson", "c": c}, scale),
+        st.builds(lambda t: {"variant": "finite", "terms": t}, st.lists(st.floats(0.0, 10.0), max_size=5)),
+    ).map(json.dumps) | st.sampled_from(
+        ["not json", '{"variant":"nope"}', '{"variant":"geometric","c":1,"r":1}', '{"variant":"poisson"}']
+    )
+
+
+def _tols(least):
+    return st.floats(least, 1.0).map(repr) | st.sampled_from(["0", "-1", "nan", "abc"])
+
+
+def _cli_argv():
+    """argv of the six computing commands, bounded so that each call ends in well under a second."""
+    size = st.integers(-2, 200).map(str)
+    sphere = st.sampled_from(["inf", "1", "2", "3", "4", "5", "0", "x"])
+    thetas = st.lists(st.floats(-1.0, 4.0).map(repr), min_size=1, max_size=3)
+
+    def flag(name, values):
+        return values.map(lambda v: [name, *v] if isinstance(v, list) else [name, v])
+
+    def optional(name, values):
+        return st.just([]) | flag(name, values)
+
+    def command(name, *options):
+        formats = st.sampled_from(["json", "csv"])
+        return st.tuples(formats, *options).map(
+            lambda drawn: [name, "--format", drawn[0], *(arg for option in drawn[1:] for arg in option)]
+        )
+
+    # a PowerLaw prefix holds about (C / tol)^(1 / (p - 1)) terms, and
+    # transform sums it once for each circle term: p in (2, 3) at tol 1e-8
+    # can ask for 10^7 terms, and transform of PowerLaw(1, 2) at tol 1e-3
+    # takes seconds; so eval draws p >= 3, transform also C <= 10 and tol >= 1e-3
+    return st.one_of(
+        command("eval", flag("--sphere", sphere), flag("--model", _models(3.0, 1e3)),
+                flag("--theta", thetas), flag("--tol", _tols(1e-8))),
+        command("btable", flag("--j", size), flag("--order", size)),
+        command("ctable", flag("--max-n", size)),
+        command("asymptotics", flag("--ell", size),
+                optional("--parity", st.sampled_from(["even", "odd", "both"])),
+                flag("--js", st.lists(size, min_size=1, max_size=4)) | optional("--max-j", size)),
+        command("transform", flag("--model", _models(3.0, 10.0)), optional("--max-index", size),
+                flag("--tol", _tols(1e-3))),
+        command("classify", flag("--model", _models(2.0, 1e3)),
+                optional("--ell-max", st.integers(-1, 40).map(str)), optional("--sphere", sphere)),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(argv=_cli_argv())
+@example(argv=["asymptotics", "--ell", "200", "--js", "1", "2"])
+@example(argv=["eval", "--sphere", "2", "--model", '{"variant":"powerlaw","C":1,"p":2}', "--theta", "1",
+               "--tol", "1e-8"])
+def test_every_exit_is_success_or_one_json_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err.getvalue() == "" and out.getvalue().endswith("\n")
+    else:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        assert set(json.loads(lines[0])) == {"error", "message"}
+
+
+def test_asymptotics_reports_a_ratio_to_growth_past_float_range(capsys):
+    # 2^200 (399)!! is past float range; the ratio is rounded once, to a subnormal
+    code, out, err = run_cli(capsys, "asymptotics", "--ell", "200", "--js", "1", "2")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    even = payload["traces"][0]["estimated_constant"]
+    want = Fraction(even) / (2**200 * math.prod(range(1, 400, 2)))
+    assert payload["even_over_diagonal_growth"] == float(want)
+    assert 0.0 < float(want) < sys.float_info.min
 
 
 def test_scaled_sum_beyond_float_range_is_domain_error(capsys):

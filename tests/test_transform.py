@@ -252,9 +252,6 @@ def test_negative_max_index_rejected(max_index):
         circle_sequence_to(model, max_index)
     with pytest.raises(ValueError, match="max index"):
         reconstruct_error(model, THETAS, max_index)
-    # a negative term budget is a bad argument, not an unreachable tolerance
-    with pytest.raises(ValueError, match="max terms"):
-        circle_sequence(model, max_terms=max_index)
 
 
 def test_monomial_reconstruction_is_exact():
