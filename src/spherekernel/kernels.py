@@ -109,6 +109,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
+from operator import mul
 
 from .errors import DimensionMismatch, ToleranceUnreachable
 from .sequences import (
@@ -420,12 +421,18 @@ def _series(model: SequenceModel, dimension: int | None, theta: float, tol: floa
     return _gegenbauer_sum(coeffs, (dimension - 1) / 2.0, t)
 
 
-def _evaluate(model: SequenceModel, dimension: int | None, theta: float, tol: float) -> float:
-    theta = _finite_angle(theta)
+def _evaluator(model: SequenceModel, dimension: int | None, tol: float):
+    """theta -> phi(theta) within tol: the closed form where there is one,
+    else the series over the cached prefix."""
     form = _kernel_form(model, dimension, tol)
     if form is not None:
-        return form(theta)
-    return _series(model, dimension, theta, tol)
+        return form
+    return lambda theta: _series(model, dimension, theta, tol)
+
+
+def _evaluate(model: SequenceModel, dimension: int | None, theta: float, tol: float) -> float:
+    theta = _finite_angle(theta)
+    return _evaluator(model, dimension, tol)(theta)
 
 
 def phi_eval_inf(spec, theta: float, tol: float = 1e-10) -> float:
@@ -460,14 +467,18 @@ def phi_eval(spec: KernelSpec, theta: float, tol: float = 1e-10) -> float:
     return phi_eval_d(spec, theta, tol)
 
 
+def _angle(a: tuple[float, ...], b: tuple[float, ...]) -> float:
+    # one C-level pass over the products; the clamp absorbs rounding past +-1
+    return math.acos(max(-1.0, min(1.0, math.fsum(map(mul, a, b)))))
+
+
 def geodesic_distance(xi: UnitVector, zeta: UnitVector) -> float:
     """arccos of the dot product, clamped to [-1, 1] to absorb rounding."""
     if len(xi) != len(zeta):
         raise DimensionMismatch(
             f"vectors have lengths {len(xi)} and {len(zeta)}"
         )
-    dot = math.fsum(a * b for a, b in zip(xi.components, zeta.components))
-    return math.acos(max(-1.0, min(1.0, dot)))
+    return _angle(xi.components, zeta.components)
 
 
 @dataclass(frozen=True)
@@ -489,7 +500,10 @@ def psd_spot_check(
 
     The pass threshold -tol * (sum |w|)^2 * (coefficient mass) scales
     with the weight and coefficient magnitudes, so the verdict is
-    invariant under rescaling either.
+    invariant under rescaling either.  A check resolves its kernel once,
+    to its closed form or its series, and takes every pair angle from
+    the one helper geodesic_distance also uses, so each term is the
+    phi_eval value at that distance, bit for bit.
     """
     if len(points) != len(weights):
         raise DimensionMismatch(
@@ -502,17 +516,18 @@ def psd_spot_check(
         raise DimensionMismatch(f"points in R^{dims.pop()} do not lie on S^{spec.dimension}")
     if not all(math.isfinite(w) for w in weights):
         raise ValueError("weights must be finite")
-    mass = total_mass_bound(spec.coefficients)
+    model, dimension = spec.coefficients, spec.dimension
+    mass = total_mass_bound(model)
     eval_tol = max(tol * mass / 4.0, 1e-300)
-    n = len(points)
-    phi0 = phi_eval(spec, 0.0, eval_tol)
+    phi = _evaluator(model, dimension, eval_tol)
+    phi0 = phi(0.0)
     value = math.fsum(w * w * phi0 for w in weights)
-    cross = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            theta = geodesic_distance(points[i], points[j])
-            cross.append(2.0 * weights[i] * weights[j] * phi_eval(spec, theta, eval_tol))
-    value += math.fsum(cross)
+    pairs = [(p.components, w) for p, w in zip(points, weights)]
+    value += math.fsum([
+        2.0 * w_i * w_j * phi(_angle(a, b))
+        for i, (a, w_i) in enumerate(pairs)
+        for b, w_j in pairs[i + 1:]
+    ])
     weight_mass = math.fsum(abs(w) for w in weights)
     threshold = tol * weight_mass ** 2 * mass
     return PsdVerdict(value=value, threshold=threshold, passed=value >= -threshold)

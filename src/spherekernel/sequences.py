@@ -204,6 +204,12 @@ class PoissonType:
         while c / (m0 + 1.0) * (1.0 + 1.0 / m0) ** ell > 0.5:
             m0 += 1
         head_start = start if ell == 0 else max(start, 1)
+        if m0 - head_start > _SEARCH_CAP:
+            # about 2c + ell head terms: no cutoff past the cap is ever certified
+            raise UnsupportedRange(
+                f"tail of a_m * m^{ell} from {start} needs more than {_SEARCH_CAP} head terms "
+                f"for {self!r}"
+            )
         head = math.fsum(_weighted_term(self, m, ell) for m in range(head_start, m0))
         q = c / (m0 + 1.0) * (1.0 + 1.0 / m0) ** ell
         return head + _weighted_term(self, m0, ell) / (1.0 - q)

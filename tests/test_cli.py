@@ -539,6 +539,7 @@ def _cli_argv():
 @settings(max_examples=80, deadline=None)
 @given(argv=_cli_argv())
 @example(argv=["asymptotics", "--ell", "200", "--js", "1", "2"])
+@example(argv=["eval", "--sphere", "2", "--theta", "1", "--model", '{"variant":"poisson","c":1e300}'])
 @example(argv=["eval", "--sphere", "2", "--model", '{"variant":"powerlaw","C":1,"p":2}', "--theta", "1",
                "--tol", "1e-8"])
 def test_every_exit_is_success_or_one_json_error_line(argv):

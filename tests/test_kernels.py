@@ -847,3 +847,68 @@ def test_psd_rejects_non_finite_weights(bad):
     pts = [UnitVector((1.0, 0.0, 0.0)), UnitVector((0.0, 1.0, 0.0))]
     with pytest.raises(ValueError, match="weights must be finite"):
         psd_spot_check(spec, pts, [1.0, bad])
+
+
+def _lattice_points(ambient, count):
+    # integer directions over a correctly rounded sqrt: the same floats on
+    # every platform; the last two points are the first one's antipode and a
+    # repeat of the second, so the clamp of the dot product is exercised
+    rng = random.Random(ambient)
+    points = []
+    while len(points) < count - 2:
+        raw = [rng.randint(-9, 9) for _ in range(ambient)]
+        if any(raw):
+            norm = math.sqrt(sum(x * x for x in raw))
+            points.append(UnitVector(tuple(x / norm for x in raw)))
+    antipode = UnitVector(tuple(-x for x in points[0].components))
+    return points + [antipode, points[1]]
+
+
+# the series path on spheres with and without an envelope (S^5's is 1)
+_PSD_SERIES_MODELS = [PowerLaw(1.0, 3.5), PoissonType(2.0), Finite((0.2, 0.0, 0.8, 0.1))]
+
+
+def _psd_pinned_cases():
+    # every form row at a tol that takes it and at 1e-300, which sums its
+    # series (a new row adds cases, so the digest is recorded again)
+    for (_, dimension), (model, _) in _FALLBACK_CASES.items():
+        for tol in (1e-10, 1e-300):
+            yield KernelSpec(dimension, model), tol
+    for dimension in (None, 1, 3, 5):
+        for model in _PSD_SERIES_MODELS:
+            yield KernelSpec(dimension, model), 1e-10
+
+
+def test_psd_and_distances_are_pinned_bit_for_bit():
+    values = []
+    for spec, tol in _psd_pinned_cases():
+        points = _lattice_points(4 if spec.dimension is None else spec.dimension + 1, 8)
+        weights = [(-1) ** i * (i + 1) / 8 for i in range(8)]
+        values.append(repr(psd_spot_check(spec, points[:1], [3.0], tol)))
+        values.append(repr(psd_spot_check(spec, points, weights, tol)))
+    digest = hashlib.sha256("\n".join(values).encode()).hexdigest()
+    assert digest == "9e17332a52f723ce4ed5f598630a7fc19d80b475a8dc79b66f3bddf4cb1673ea"
+    distances = [
+        repr(geodesic_distance(p, q))
+        for ambient in (2, 3, 4, 6)
+        for p in _lattice_points(ambient, 8)
+        for q in _lattice_points(ambient, 8)
+    ]
+    digest = hashlib.sha256("\n".join(distances).encode()).hexdigest()
+    assert digest == "bba7cb1c958259f51aa7f24b138b40d3e82e001e1c7ec13d41cec1cce16276bc"
+
+
+def test_psd_validation_errors_keep_their_order():
+    spec = KernelSpec(2, Geometric(1.0, 0.5))
+    in_r3, in_r4 = _lattice_points(3, 4)[:3], _lattice_points(4, 4)
+    off_sphere = in_r4[:2]
+    cases = [
+        # length mismatch, mixed dimensions, points off S^2 and a NaN weight
+        (in_r3[:1] + off_sphere, [1.0, math.nan], DimensionMismatch, "points but"),
+        (in_r3[:1] + off_sphere, [1.0, 1.0, math.nan], DimensionMismatch, "mixed ambient"),
+        (off_sphere, [1.0, math.nan], DimensionMismatch, "do not lie on S\\^2"),
+        (in_r3, [1.0, 1.0, math.nan], ValueError, "weights must be finite"),
+    ]
+    for points, weights, error, message in cases:
+        with pytest.raises(error, match=message):
+            psd_spot_check(spec, points, weights)
