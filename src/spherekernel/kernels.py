@@ -48,8 +48,8 @@ A(x) = atan(x) / x, the table _FORMS holds one row per (variant, sphere):
     S^4       Geometric     c 4 / ((1 + r + R)(1 - r + R))     12
     Hilbert   PoissonType   exp(-2 c h^2)                      5
 
-A row's units bound its rounding error in units of u = 2^-53 of the
-model's mass: c / (1 - r) for Geometric and 1 for PoissonType.  Since
+A row's units bound its rounding error in units of u = 2^-53 of
+total_mass_bound(model): c / (1 - r) rounded up, or 1 for PoissonType.  Since
 1 - 2 r cos theta + r^2 = R^2, the S^2 form is the Legendre generating
 function (DLMF 18.12.11).  On S^3, g_k = sin((k+1) theta) /
 ((k+1) sin theta), so sum_k r^k g_k = Im(-log(1 - r e^(i theta))) /
@@ -86,8 +86,8 @@ A = 1 - x^2 / 3, whose truncation x^4 / 5 < 0.2 u and three roundings
 (two of them on a term below 4e-9) stay inside the gamma_3 of atan.
 Every Geometric form is at most c / (1 - r), as |g_k| <= 1.  So the
 Hilbert and S^2 values are within 10 u, S^4 within 12 u and S^3 within
-14 u of c / (1 - r): the units past gamma's index cover the roundings
-of c / (1 - r) and of the bound itself, and an h^2 that underflows
+14 u of c / (1 - r), at most the mass bound: the units past gamma's
+index cover the rounding of the bound itself, and an h^2 that underflows
 (2^-1072 absolute at most in 4 r h^2, against a D of at least 2^-53
 and an R^2 of at least 2^-106).  For PoissonType, x = -2 c h^2 is
 within gamma_6 relative, so for |x| <= 746
@@ -353,37 +353,28 @@ def _hilbert_poisson(model: PoissonType):
     return lambda theta: math.exp(-(c * (2.0 * _half_chord_squared(theta))))
 
 
-def _geometric_mass(model: Geometric) -> float:
-    return model.c / (1.0 - model.r)
-
-
-def _unit_mass(model: PoissonType) -> float:
-    return 1.0
-
-
 @dataclass(frozen=True)
 class _Form:
     """A closed form: ``make(model)`` is theta -> phi(theta), within
-    ``units`` * 2^-53 * ``mass(model)`` of the kernel's value."""
+    ``units`` * 2^-53 * ``total_mass_bound(model)`` of the kernel's value."""
 
     make: Callable[[SequenceModel], Callable[[float], float]]
     units: int
-    mass: Callable[[SequenceModel], float]
 
 
 # (variant, sphere) -> its closed form; the forms and their units are
 # derived in the module docstring
 _FORMS = {
-    (Geometric, None): _Form(_hilbert_geometric, 10, _geometric_mass),
-    (Geometric, 2): _Form(_s2_geometric, 10, _geometric_mass),
-    (Geometric, 3): _Form(_s3_geometric, 14, _geometric_mass),
-    (Geometric, 4): _Form(_s4_geometric, 12, _geometric_mass),
-    (PoissonType, None): _Form(_hilbert_poisson, 5, _unit_mass),
+    (Geometric, None): _Form(_hilbert_geometric, 10),
+    (Geometric, 2): _Form(_s2_geometric, 10),
+    (Geometric, 3): _Form(_s3_geometric, 14),
+    (Geometric, 4): _Form(_s4_geometric, 12),
+    (PoissonType, None): _Form(_hilbert_poisson, 5),
 }
 
 
 def _form_bound(form: _Form, model: SequenceModel) -> float:
-    return form.units * 2.0 ** -53 * form.mass(model)
+    return form.units * 2.0 ** -53 * total_mass_bound(model)
 
 
 def _kernel_form(model: SequenceModel, dimension: int | None, tol: float):
@@ -421,9 +412,10 @@ def _series(model: SequenceModel, dimension: int | None, theta: float, tol: floa
     return _gegenbauer_sum(coeffs, (dimension - 1) / 2.0, t)
 
 
+@lru_cache(maxsize=128)
 def _evaluator(model: SequenceModel, dimension: int | None, tol: float):
-    """theta -> phi(theta) within tol: the closed form where there is one,
-    else the series over the cached prefix."""
+    """theta -> phi(theta) within tol, kept like the prefix: the closed form
+    where there is one, else the series over the cached prefix."""
     form = _kernel_form(model, dimension, tol)
     if form is not None:
         return form

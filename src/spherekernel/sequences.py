@@ -6,8 +6,9 @@ returned here are certified over-estimates of the weighted tails
 
     sum_{m >= M} a_m * m**ell
 
-never asymptotic estimates, so truncation points derived from them are
-safe for downstream reconstruction guarantees (0**0 = 1 throughout).
+never asymptotic estimates, and rounded upward, so truncation points
+derived from them are safe for downstream reconstruction guarantees
+(0**0 = 1 throughout); Geometric and Poisson tails are closed forms.
 
 A variant is one frozen dataclass holding its ``term``, certified
 ``tail``, convergence limit ``max_weight``, JSON name ``variant`` and
@@ -21,6 +22,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import lru_cache
 from typing import ClassVar, Union, get_args
 
 from .errors import DivergentSeries, ToleranceUnreachable, UnsupportedRange
@@ -36,31 +38,36 @@ def _require_finite(*fields: float) -> None:
 
 
 def _require_finite_mass(model: SequenceModel) -> None:
-    # finite fields can still certify a total beyond float range (c = 1e308),
-    # a bad model field rather than a domain error of the later computation;
-    # PoissonType needs no check, its mass is at most 1
+    # finite fields can still certify a total beyond float range (c = 1e308), a bad
+    # model field rather than a domain error later; a PoissonType mass is 1
     try:
         total_mass_bound(model)
     except UnsupportedRange:
         raise ValueError(f"model total mass must be finite for {model!r}") from None
 
 
-def _weighted_term(model: Geometric | PoissonType, m: int, ell: int) -> float:
-    """a_m * m**ell, for the certified tails of Geometric and PoissonType.
+@lru_cache(maxsize=32)
+def _stirling_row(ell: int, shift: int) -> tuple[int, ...]:
+    """B_k with (x + shift)^ell = sum_k B_k (x)_k, by x (x)_k = (x)_(k+1) + k (x)_k;
+    at shift 0 the Stirling numbers of the second kind S(ell, k) (DLMF 26.8)."""
+    row = [1]
+    for _ in range(ell):
+        row = [low + (k + shift) * b for k, (low, b) in enumerate(zip([0] + row, row + [0]))]
+    return tuple(row)
 
-    The float product where m**ell is a float.  Beyond float range, where
-    a_m m**ell need not be, exp(log a_m + ell log m) with log a_m from the
-    model's own logarithm, so an a_m below float range still counts.  Its
-    exponent is padded upward by 2^-40 of the magnitudes summed, plus
-    2^-40: far above the few-ulp errors of log, lgamma, the products and
-    the sums, and of exp itself.
-    """
-    try:
-        return model.term(m) * float(m ** ell)
-    except OverflowError:
-        pass
-    log_a, log_w = model._log_term(m), ell * math.log(m)
-    return math.exp(log_a + log_w + 2.0 ** -40 * (abs(log_a) + log_w + 1.0))
+
+def _exp_up(logs: list[float]) -> float:
+    # exp(sum(logs)) rounded up: a pad of 2^-44 (sum |logs| + 1) is far above the few
+    # ulps of each log, of fsum and of exp; nextafter covers an exp below normal range
+    pad = 2.0 ** -44 * (math.fsum(map(abs, logs)) + 1.0)
+    return math.nextafter(math.exp(math.fsum(logs) + pad), math.inf)
+
+
+def _ratio_up(num: int, den: int) -> float:
+    # num / den >= 0 rounded up; int / int is correctly rounded, or raises OverflowError
+    total = num / den
+    top, bottom = total.as_integer_ratio()
+    return math.nextafter(total, math.inf) if top * den < num * bottom else total
 
 
 @dataclass(frozen=True)
@@ -82,7 +89,8 @@ class Finite:
         return self.terms[m] if m < len(self.terms) else 0.0
 
     def tail(self, start: int, ell: int) -> float:
-        return math.fsum(a * float(m ** ell) for m, a in enumerate(self.terms[start:], start))
+        exact = sum(Fraction(a) * m ** ell for m, a in enumerate(self.terms[start:], start))
+        return _ratio_up(*exact.as_integer_ratio())
 
     def factorial_moment(self, k: int) -> None:
         # an exact Fraction sum over the terms costs more than the float series
@@ -110,23 +118,17 @@ class Geometric:
         return self.c * self.r ** m
 
     def tail(self, start: int, ell: int) -> float:
-        c, r = self.c, self.r
-        if c == 0.0:
-            return 0.0
-        if r == 0.0:
-            return c if (start == 0 and ell == 0) else 0.0
-        if ell == 0:
-            return c * r ** start / (1.0 - r)
-        # Beyond m0 the term ratio r*((m+1)/m)**ell stays below 2r/(1+r) < 1.
-        rho = (1.0 + r) / 2.0
-        m0 = max(start, 1, math.ceil(ell / math.log(1.0 / rho)))
-        head = math.fsum(_weighted_term(self, m, ell) for m in range(max(start, 1), m0))
-        q = r * ((m0 + 1.0) / m0) ** ell
-        return head + _weighted_term(self, m0, ell) / (1.0 - q)
-
-    def _log_term(self, m: int) -> float:
-        # c > 0 and r > 0 wherever tail weighs a term
-        return math.log(self.c) + m * math.log(self.r)
+        # the m = 0 term is 0 for ell > 0, so starts 0 and 1 share one bound
+        if start == 1 and ell > 0:
+            start = 0
+        # the sum over k is num / den exactly, with r = p / q; r^start is not
+        (a, b), (p, q) = self.c.as_integer_ratio(), self.r.as_integer_ratio()
+        row = enumerate(_stirling_row(ell, start))
+        num = a * q * sum(s * math.factorial(k) * p ** k * (q - p) ** (ell - k) for k, s in row)
+        den = b * (q - p) ** (ell + 1)
+        if start == 0:
+            return _ratio_up(num, den)
+        return _exp_up([math.log(num), -math.log(den), start * math.log(p / q)]) if num and p else 0.0
 
     def factorial_moment(self, k: int) -> Fraction:
         # k-th derivative of c / (1 - r z) at z = 1
@@ -194,29 +196,28 @@ class PoissonType:
             except OverflowError:
                 pass
         # log-domain form avoids overflow in c**m for large m or c
-        return math.exp(self._log_term(m))
+        return math.exp(-c + m * math.log(c) - math.lgamma(m + 1))
 
     def tail(self, start: int, ell: int) -> float:
         c = self.c
         if c == 0.0:
             return 1.0 if (start == 0 and ell == 0) else 0.0
-        m0 = max(start, 1, math.ceil(2.0 * c) + ell)
-        while c / (m0 + 1.0) * (1.0 + 1.0 / m0) ** ell > 0.5:
-            m0 += 1
-        head_start = start if ell == 0 else max(start, 1)
-        if m0 - head_start > _SEARCH_CAP:
-            # about 2c + ell head terms: no cutoff past the cap is ever certified
-            raise UnsupportedRange(
-                f"tail of a_m * m^{ell} from {start} needs more than {_SEARCH_CAP} head terms "
-                f"for {self!r}"
-            )
-        head = math.fsum(_weighted_term(self, m, ell) for m in range(head_start, m0))
-        q = c / (m0 + 1.0) * (1.0 + 1.0 / m0) ** ell
-        return head + _weighted_term(self, m0, ell) / (1.0 - q)
+        num, den = 0, 1
+        for k, s in enumerate(_stirling_row(ell, 0)):
+            top, bottom = self._factorial_tail(s, k, start - k)
+            num, den = num * bottom + top * den, den * bottom
+        return _ratio_up(num, den)
 
-    def _log_term(self, m: int) -> float:
-        # c > 0 wherever tail weighs a term
-        return -self.c + m * math.log(self.c) - math.lgamma(m + 1)
+    def _factorial_tail(self, s: int, k: int, n: int) -> tuple[int, int]:
+        """An upper bound on s c^k Q(n), c > 0, as an integer ratio (see weighted_tail_bound)."""
+        c, (a, b) = self.c, self.c.as_integer_ratio()
+        if s and n > 0 and n + 1 > c:
+            # log of p(n) (n + 1) / (n + 1 - c), the last factor rounded once
+            log_q = [-c, n * math.log(c), -math.lgamma(n + 1), math.log(n + 1),
+                     -math.log(((n + 1) * b - a) / b)]
+            if math.fsum(log_q) < 0.0:
+                return _exp_up([math.log(s), k * math.log(c), *log_q]).as_integer_ratio()
+        return s * a ** k, b ** k
 
     def factorial_moment(self, k: int) -> Fraction:
         # k-th derivative of exp(c (z - 1)) at z = 1; the mass is exactly 1
@@ -254,12 +255,18 @@ def converges_weighted(model: SequenceModel, ell: int) -> bool:
 def weighted_tail_bound(model: SequenceModel, start: int, ell: int) -> TailBound:
     """Certify an upper bound on sum_{m >= start} a_m * m**ell.
 
-    Geometric and Poisson tails are capped by summing exact terms up to
-    an index where the term ratio is provably below 1, then closing with
-    a geometric series, each term a_m m**ell taken through logarithms
-    where m**ell alone leaves float range; power-law tails use the
-    integral test.  Raises DivergentSeries when no finite bound exists,
-    and UnsupportedRange when the bound is beyond float range.
+    With (x)_k = x (x-1) ... (x-k+1), (x + start)^ell = sum_k B_k (x)_k
+    and S(ell, k) = B_k at start 0, the Stirling numbers (DLMF 26.8):
+
+        Geometric  c r^start sum_k B_k k! r^k / (1 - r)^(k+1)
+        Poisson    sum_k S(ell, k) c^k Q(start - k),  Q(n) = P(X >= n)
+
+    for X ~ Poisson(c) (DLMF 8.4): Q(n) <= 1, and past n + 1 > c, Q(n) <=
+    p(n) (n + 1) / (n + 1 - c) as p(n + j) / p(n) <= (c / (n + 1))^j.  No
+    loop runs with start, c or r.  Each sum is exact and rounded up once;
+    r^start and Q(n) < 1 are upper bounds through padded logarithms.
+    Power-law tails use the integral test.  Raises DivergentSeries when no
+    finite bound exists, and UnsupportedRange past float range.
     """
     if start < 0:
         raise ValueError(f"start index must be nonnegative, got {start}")

@@ -170,8 +170,10 @@ _GOLDEN_SHA256 = {
     ("transform-max-index", "csv"): "562da557b4ad72fde6ee03b936093ea6232393f61f387044831eefaf0ccbd348",
     ("classify-inf", "json"): "f8ea5741b46a1f34cc7d10b5feec5523b89d376dee8c848c31bd3f502c293781",
     ("classify-inf", "csv"): "496e7e5806178965a7ddc70c517e8c954781dd486828d45ffb03707fbb280757",
-    ("classify-sphere", "json"): "4d0008691a6aa7bd70800338b93a74034a3c873b03216a79978c92c28846cdbc",
-    ("classify-sphere", "csv"): "9b7e41e477d4723ce8d3d646195a3da9ca2e0ea8a253914a777c268dbc32a1de",
+    # Geometric moments are exact rationals rounded up: here 1, 3, 75, 4683
+    # and 545835, each equal to its mpmath polylogarithm
+    ("classify-sphere", "json"): "b25cb84f0db65326605552e4621d3fae94bc02b95e5db79b4eb2be10827a7e04",
+    ("classify-sphere", "csv"): "51fae4cd0e950f630464ccc2cdd52d742f20c1f432ebce99ea98bc0949b9d2d0",
 }
 
 
@@ -480,14 +482,13 @@ def test_bad_env_tolerance_is_usage_error(capsys, monkeypatch):
     _assert_one_line_usage_error(capsys, exc)
 
 
-def _models(p_min, c_max):
-    """JSON text of models, valid and not; PowerLaw p >= p_min, scales <= c_max."""
+def _models(p_min, c_max, r_max):
+    """JSON text of models, valid and not; PowerLaw p >= p_min, scales <= c_max
+    and Geometric r <= r_max."""
     scale = st.floats(0.0, c_max)
     return st.one_of(
-        # a Geometric tail sums about ell / log(2 / (1 + r)) head terms, so r <= 0.99
-        st.builds(lambda c, r: {"variant": "geometric", "c": c, "r": r}, scale, st.floats(0.0, 0.99)),
+        st.builds(lambda c, r: {"variant": "geometric", "c": c, "r": r}, scale, st.floats(0.0, r_max)),
         st.builds(lambda c, p: {"variant": "powerlaw", "C": c, "p": p}, scale, st.floats(p_min, 8.0)),
-        # Poisson tails sum about 2c head terms, so c stays small enough to finish
         st.builds(lambda c: {"variant": "poisson", "c": c}, scale),
         st.builds(lambda t: {"variant": "finite", "terms": t}, st.lists(st.floats(0.0, 10.0), max_size=5)),
     ).map(json.dumps) | st.sampled_from(
@@ -520,18 +521,21 @@ def _cli_argv():
     # a PowerLaw prefix holds about (C / tol)^(1 / (p - 1)) terms, and
     # transform sums it once for each circle term: p in (2, 3) at tol 1e-8
     # can ask for 10^7 terms, and transform of PowerLaw(1, 2) at tol 1e-3
-    # takes seconds; so eval draws p >= 3, transform also C <= 10 and tol >= 1e-3
+    # takes seconds; so eval draws p >= 3, transform also C <= 10 and tol >= 1e-3.
+    # Geometric and Poisson prefixes hold about log(tol) / log(r) and c terms,
+    # so eval and transform keep r <= 0.99 and c <= 1e3; classify reads only
+    # closed-form tails and takes r up to just below 1 and c up to 1e300
     return st.one_of(
-        command("eval", flag("--sphere", sphere), flag("--model", _models(3.0, 1e3)),
+        command("eval", flag("--sphere", sphere), flag("--model", _models(3.0, 1e3, 0.99)),
                 flag("--theta", thetas), flag("--tol", _tols(1e-8))),
         command("btable", flag("--j", size), flag("--order", size)),
         command("ctable", flag("--max-n", size)),
         command("asymptotics", flag("--ell", size),
                 optional("--parity", st.sampled_from(["even", "odd", "both"])),
                 flag("--js", st.lists(size, min_size=1, max_size=4)) | optional("--max-j", size)),
-        command("transform", flag("--model", _models(3.0, 10.0)), optional("--max-index", size),
+        command("transform", flag("--model", _models(3.0, 10.0, 0.99)), optional("--max-index", size),
                 flag("--tol", _tols(1e-3))),
-        command("classify", flag("--model", _models(2.0, 1e3)),
+        command("classify", flag("--model", _models(2.0, 1e300, math.nextafter(1.0, 0.0))),
                 optional("--ell-max", st.integers(-1, 40).map(str)), optional("--sphere", sphere)),
     )
 
@@ -542,6 +546,9 @@ def _cli_argv():
 @example(argv=["eval", "--sphere", "2", "--theta", "1", "--model", '{"variant":"poisson","c":1e300}'])
 @example(argv=["eval", "--sphere", "2", "--model", '{"variant":"powerlaw","C":1,"p":2}', "--theta", "1",
                "--tol", "1e-8"])
+@example(argv=["classify", "--model", '{"variant":"geometric","c":1,"r":0.999999}', "--ell-max", "200",
+               "--sphere", "3"])
+@example(argv=["eval", "--sphere", "2", "--theta", "1", "--model", '{"variant":"poisson","c":1e5}'])
 def test_every_exit_is_success_or_one_json_error_line(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

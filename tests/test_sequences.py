@@ -1,6 +1,7 @@
-import hashlib
+import functools
 import json
 import math
+import sys
 from dataclasses import fields
 from fractions import Fraction
 
@@ -130,13 +131,63 @@ def test_weighted_tail_beyond_float_range_is_unsupported_range(model, ell):
     assert math.isfinite(weighted_tail_bound(model, 0, 1).bound)
 
 
-def _mp_poisson_moment(c, ell):
-    # sum_m e^-c c^m m^ell / m! over m < 3000, far past the peak of every case here
-    c = mpmath.mpf(c)
-    return mpmath.fsum(
-        mpmath.exp(-c + m * mpmath.log(c) - mpmath.loggamma(m + 1)) * mpmath.mpf(m) ** ell
-        for m in range(1, 3000)
-    )
+def _mp_poisson_tail(c, start, ell):
+    """sum_{m >= start} e^-c c^m m^ell / m!, summed term by term at 40 digits.
+
+    The term ratio c (1 + 1/m)^ell / (m + 1) falls with m, so once it is
+    below 1 the rest is at most term * ratio / (1 - ratio).
+    """
+    with mpmath.workdps(40):
+        c, m = mpmath.mpf(c), start
+        p = mpmath.exp(-c + m * mpmath.log(c) - mpmath.loggamma(m + 1))
+        total = mpmath.mpf(0)
+        while True:
+            term = p * mpmath.mpf(m) ** ell
+            total += term
+            if m > 0:
+                ratio = c / (m + 1) * (mpmath.mpf(m + 1) / m) ** ell
+                if ratio < 1 and term * ratio / (1 - ratio) < total * mpmath.mpf(10) ** -45:
+                    return total
+            p *= c / (m + 1)
+            m += 1
+
+
+def _mp_geometric_tail(c, r, start, ell):
+    """sum_{m >= start} c r^m m^ell at 40 digits, from the binomial expansion
+    c r^start sum_p C(ell, p) start^(ell - p) sum_n n^p r^n, with the inner
+    sums polylogarithms of negative order, plus 1 at p = 0 for n = 0."""
+    with mpmath.workdps(40):
+        r = mpmath.mpf(r)
+        inner = [_mp_polylog(-p, r) + (p == 0) for p in range(ell + 1)]
+        weights = [math.comb(ell, p) * start ** (ell - p) for p in range(ell + 1)]
+        return mpmath.mpf(c) * r ** start * mpmath.fsum(map(mpmath.fmul, weights, inner))
+
+
+_mp_polylog = functools.lru_cache(maxsize=None)(mpmath.polylog)
+
+
+def _mp_tail(model, start, ell):
+    if isinstance(model, Geometric):
+        return _mp_geometric_tail(model.c, model.r, start, ell)
+    return _mp_poisson_tail(model.c, start, ell)
+
+
+def _assert_sandwiched(model, start, ell):
+    # Geometric tails, and Poisson tails from 0, within 1e-8 relative above
+    # the exact value, and Poisson tails from start > 0 within 4 times it;
+    # 2^-1066 absolute covers the two subnormal units that each of up to
+    # 61 terms below the float range reads, and 1e-25 relative the oracle's
+    # own rounding, far below a float's
+    with mpmath.workdps(30):
+        exact = _mp_tail(model, start, ell)
+        if exact > sys.float_info.max:
+            with pytest.raises(UnsupportedRange, match="float range"):
+                weighted_tail_bound(model, start, ell)
+            return
+        bound = weighted_tail_bound(model, start, ell).bound
+        over = 4 if isinstance(model, PoissonType) and start > 0 else 1 + mpmath.mpf(1e-8)
+        low = exact * (1 - mpmath.mpf(1e-25))
+        assert low <= bound <= exact * over + 2.0 ** -1066, (model, start, ell, bound, exact)
 
 
 @pytest.mark.parametrize(
@@ -144,7 +195,7 @@ def _mp_poisson_moment(c, ell):
     [
         (Geometric(1.0, 0.5), 118, lambda: mpmath.polylog(-118, 0.5)),
         (Geometric(1.0, 0.5), 150, lambda: mpmath.polylog(-150, 0.5)),
-        (PoissonType(3.0), 200, lambda: _mp_poisson_moment(3.0, 200)),
+        (PoissonType(3.0), 200, lambda: _mp_poisson_tail(3.0, 0, 200)),
     ],
     ids=["geometric-118", "geometric-150", "poisson-200"],
 )
@@ -157,40 +208,65 @@ def test_weighted_tail_where_m_to_the_ell_leaves_float_range(model, ell, exact):
         assert want <= bound <= want * (1 + mpmath.mpf(1e-8))
 
 
-def test_log_domain_weighted_terms_bound_the_exact_product():
-    # a_m = 1e-3**m is below float range from m = 103 on, so the product
-    # a_m m**ell is kept only through the logarithms
-    for model, m, ell in [
+def test_tails_from_where_terms_leave_float_range_bound_the_exact_tail():
+    # m**ell overflows a float at each start, and a_m = 1e-3**m is below
+    # float range from m = 103 on, so the tails there go through logarithms
+    for model, start, ell in [
         (Geometric(1.0, 1e-3), 120, 200),
         (Geometric(1.0, 1e-3), 160, 160),
         (Geometric(0.3, 0.5), 410, 118),
         (PoissonType(3.0), 400, 200),
+        # about 5.9e309 from here, a tail past float range
         (PoissonType(1e5), 100_000, 62),
     ]:
         with pytest.raises(OverflowError):
-            float(m**ell)
-        with mpmath.workdps(30):
-            if isinstance(model, Geometric):
-                want = mpmath.mpf(model.c) * mpmath.mpf(model.r) ** m * mpmath.mpf(m) ** ell
-            else:
-                c = mpmath.mpf(model.c)
-                want = mpmath.exp(-c + m * mpmath.log(c) - mpmath.loggamma(m + 1)) * mpmath.mpf(m) ** ell
-            got = sequences._weighted_term(model, m, ell)
-            assert want <= got <= want * (1 + mpmath.mpf(1e-8)), (model, m, ell)
+            float(start**ell)
+        _assert_sandwiched(model, start, ell)
 
 
-def test_weighted_tails_within_float_range_are_unchanged():
-    # every bound that needs no log-domain term, repr for repr as before
+def test_weighted_tails_lie_in_their_mpmath_sandwich():
     models = [Geometric(c, r) for c in (1.0, 0.3) for r in (1e-10, 0.5, 0.99)]
     models += [PoissonType(c) for c in (0.5, 3.0, 50.0, 700.0)]
-    values = [
-        repr(weighted_tail_bound(model, start, ell).bound)
-        for model in models
-        for start in (0, 1, 7, 100)
-        for ell in (0, 1, 2, 5, 20, 60)
-    ]
-    digest = hashlib.sha1("\n".join(values).encode()).hexdigest()
-    assert digest == "6203403abd211bd99b92e317ae214c653e818d3e"
+    for model in models:
+        for start in (0, 1, 7, 100):
+            for ell in (0, 1, 2, 5, 20, 60):
+                _assert_sandwiched(model, start, ell)
+
+
+def test_tails_sum_no_terms(monkeypatch):
+    # closed forms sum no terms, so these return at once however large
+    # start, c or r are
+    def refuse(self, m):
+        raise AssertionError("a tail summed a term")
+
+    monkeypatch.setattr(Geometric, "term", refuse)
+    monkeypatch.setattr(PoissonType, "term", refuse)
+    assert truncation_index(PoissonType(1e5), 0, 1e-10) == 102_020
+    _assert_sandwiched(Geometric(1.0, 0.999999), 0, 20)
+    _assert_sandwiched(PoissonType(1e6), 10**6 + 5_000, 3)
+
+
+@pytest.mark.parametrize("c", [0.0, 0.5, 50.0, 700.0, 1e6, 1e300])
+def test_poisson_mass_is_exactly_one(c):
+    assert total_mass_bound(PoissonType(c)) == 1.0
+
+
+def test_poisson_first_moment_bound_reaches_the_intensity():
+    # the exact first moment is c
+    assert weighted_tail_bound(PoissonType(1e6), 0, 1).bound >= 1e6
+
+
+@given(
+    terms=st.lists(st.floats(min_value=0.0, max_value=1e100), max_size=8),
+    start=st.integers(min_value=0, max_value=9),
+    ell=st.integers(min_value=0, max_value=6),
+)
+def test_finite_tail_is_at_least_the_exact_sum(terms, start, ell):
+    model = Finite(tuple(terms))
+    exact = sum(Fraction(a) * m**ell for m, a in enumerate(model.terms) if m >= start)
+    bound = weighted_tail_bound(model, start, ell).bound
+    # the least float at or above the exact sum
+    assert Fraction(bound) >= exact and (bound == 0.0 or Fraction(math.nextafter(bound, 0.0)) < exact)
 
 
 def test_poisson_term_switches_to_log_domain_on_overflow():
