@@ -46,11 +46,12 @@ c / q and rho are each rounded once from an exact integer square root
 and one product follows, so each b_n lies within (n + 5) 2^-53 relative
 of the true value, with no truncation, plus (c / q + 1) 2^-1072 where
 rho^n leaves the normal float range; the n in it is rho's one rounding
-raised to the power n.  Since sum_{n > M} b_n <= sum_{m > M} a_m,
-circle_sequence stops by n = M when its prefix length M is below 374,
-and by n = 498 always (where tol dominates the rounding of its partial
-sums), so for M >= 2 and every n <= N this bound is below the prefix
-path's (2M + 3) 2^-53.
+raised to the power n.  Let M be the plain sum's certified cutoff at
+per_tol / 2, per_tol = tol / 1000.  Since sum_{n > M} b_n <= sum_{m > M}
+a_m, circle_sequence stops by n = M when M is below 499 (where tol
+dominates the rounding of its partial sums) and never past n = 499, so
+for M >= 2 and every n <= N this bound is below the prefix path's
+(2M + 3) 2^-53.
 
 Smoothness classification reads decay instead: the even derivative
 phi^(2 ell)(0) exists exactly when sum_m a_m m^ell converges (weight
@@ -77,12 +78,10 @@ from .sequences import (
     coefficient_prefix,
     converges_weighted,
     term,
+    total_mass_bound,
     truncation_index,
     weighted_tail_bound,
 )
-
-# circle_sequence gives up past this many terms
-_MAX_CIRCLE_TERMS = 4096
 
 
 def circle_coefficient(model: SequenceModel, n: int, tol: float = 1e-12) -> float:
@@ -99,21 +98,22 @@ def circle_coefficient(model: SequenceModel, n: int, tol: float = 1e-12) -> floa
     """
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
-    return _circle_terms(model, tol)(n)
+    return _circle_terms(model, tol)[0](n)
 
 
-def _circle_terms(model: SequenceModel, tol: float) -> Callable[[int], float]:
-    # n -> b_n within tol: the closed form for Geometric models, the weight
-    # recurrences over all of a Finite model, whose circle sums are exact by
-    # contract (its certified prefix could drop trailing terms below tol/2),
-    # else over the certified prefix of the plain sum
-    if not tol > 0.0:
-        raise ToleranceUnreachable(f"tolerance must be positive, got {tol}")
+def _circle_terms(model: SequenceModel, tol: float) -> tuple[Callable[[int], float], float]:
+    # n -> b_n within tol and an upper bound on the mass, from one resolution:
+    # Geometric models (closed form) and Finite ones (all terms, as their circle
+    # sums are exact by contract) take the exact mass rounded up, the others the
+    # plain sum's certified prefix at tol/2 and its sum plus tol/2
+    if not 0.0 < tol < math.inf:
+        raise ToleranceUnreachable(f"tolerance must be positive and finite, got {tol}")
     if isinstance(model, Geometric):
-        return _geometric_circle_terms(model)
+        return _geometric_circle_terms(model), total_mass_bound(model)
     if isinstance(model, Finite):
-        return _prefix_circle_terms(model.terms)
-    return _prefix_circle_terms(coefficient_prefix(model, tol / 2.0))
+        return _prefix_circle_terms(model.terms), total_mass_bound(model)
+    prefix = coefficient_prefix(model, tol / 2.0)
+    return _prefix_circle_terms(prefix), math.fsum(prefix) + tol / 2.0
 
 
 # bits beyond the float's 53 carried by the integer square root
@@ -199,25 +199,24 @@ def circle_sequence(model: SequenceModel, tol: float = 1e-10) -> CircleSequence:
     """Compute b_0..b_N with N chosen so the dropped tail mass is below tol.
 
     Since sum_n b_n equals sum_m a_m, the remaining mass after N terms is
-    bounded by a tight certified upper bound on the model total minus the
-    accumulated partial sum (padded by the per-term error budget).
+    bounded by an upper bound on the model total, resolved with the
+    coefficients (exact for Geometric and Finite models, else the prefix
+    sum plus its tail allowance), minus the partial sum, padded by the
+    per-term charge 2 (n + 1) tol / 1000, which alone reaches tol at n = 499.
     """
-    if not tol > 0.0:
-        raise ToleranceUnreachable(f"tolerance must be positive, got {tol}")
-    mass_upper = math.fsum(coefficient_prefix(model, tol / 4.0)) + tol / 4.0
     per_tol = tol / 1000.0
-    circle_term = _circle_terms(model, per_tol)
+    circle_term, mass_upper = _circle_terms(model, per_tol)
     terms: list[float] = []
     partial = 0.0
-    for n in range(_MAX_CIRCLE_TERMS + 1):
+    for n in range(round(tol / (2.0 * per_tol))):
         b = circle_term(n)
         terms.append(b)
         partial += b
         if mass_upper - partial + 2.0 * (n + 1) * per_tol <= tol:
             return CircleSequence(tuple(terms), n, per_tol)
     raise ToleranceUnreachable(
-        f"circle sequence did not capture the mass of {model!r} within "
-        f"{_MAX_CIRCLE_TERMS} terms at tolerance {tol}"
+        f"circle sequence did not capture the mass of {model!r} at tolerance {tol} by n = "
+        f"{len(terms) - 1}, where the per-term charge 2 (n + 1) tol / 1000 alone reaches tol"
     )
 
 
@@ -228,7 +227,7 @@ def circle_sequence_to(
     if max_index < 0:
         raise ValueError(f"max index must be nonnegative, got {max_index}")
     per_tol = tol / (4.0 * (max_index + 1))
-    terms = tuple(map(_circle_terms(model, per_tol), range(max_index + 1)))
+    terms = tuple(map(_circle_terms(model, per_tol)[0], range(max_index + 1)))
     return CircleSequence(terms, max_index, per_tol)
 
 

@@ -523,8 +523,9 @@ def _cli_argv():
     # can ask for 10^7 terms, and transform of PowerLaw(1, 2) at tol 1e-3
     # takes seconds; so eval draws p >= 3, transform also C <= 10 and tol >= 1e-3.
     # Geometric and Poisson prefixes hold about log(tol) / log(r) and c terms,
-    # so eval and transform keep r <= 0.99 and c <= 1e3; classify reads only
-    # closed-form tails and takes r up to just below 1 and c up to 1e300
+    # so eval keeps r <= 0.99 and c <= 1e3, and transform c <= 10; a Geometric
+    # transform builds no prefix and takes r up to just below 1, as does
+    # classify, which reads only closed-form tails and takes c up to 1e300
     return st.one_of(
         command("eval", flag("--sphere", sphere), flag("--model", _models(3.0, 1e3, 0.99)),
                 flag("--theta", thetas), flag("--tol", _tols(1e-8))),
@@ -533,7 +534,8 @@ def _cli_argv():
         command("asymptotics", flag("--ell", size),
                 optional("--parity", st.sampled_from(["even", "odd", "both"])),
                 flag("--js", st.lists(size, min_size=1, max_size=4)) | optional("--max-j", size)),
-        command("transform", flag("--model", _models(3.0, 10.0, 0.99)), optional("--max-index", size),
+        command("transform", flag("--model", _models(3.0, 10.0, math.nextafter(1.0, 0.0))),
+                optional("--max-index", size),
                 flag("--tol", _tols(1e-3))),
         command("classify", flag("--model", _models(2.0, 1e300, math.nextafter(1.0, 0.0))),
                 optional("--ell-max", st.integers(-1, 40).map(str)), optional("--sphere", sphere)),
@@ -549,6 +551,7 @@ def _cli_argv():
 @example(argv=["classify", "--model", '{"variant":"geometric","c":1,"r":0.999999}', "--ell-max", "200",
                "--sphere", "3"])
 @example(argv=["eval", "--sphere", "2", "--theta", "1", "--model", '{"variant":"poisson","c":1e5}'])
+@example(argv=["transform", "--model", '{"variant":"geometric","c":1,"r":0.999999}', "--tol", "1e-3"])
 def test_every_exit_is_success_or_one_json_error_line(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

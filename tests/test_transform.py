@@ -22,6 +22,7 @@ from spherekernel.sequences import (
     PoissonType,
     PowerLaw,
     _VARIANTS,
+    coefficient_prefix,
     converges_weighted,
     term,
     truncation_index,
@@ -88,6 +89,19 @@ def test_nan_tolerance_rejected(evaluate):
     # a NaN tolerance used to truncate silently (phi 1.0 for a true 2.0)
     with pytest.raises(ToleranceUnreachable):
         evaluate(Geometric(1.0, 0.5), math.nan)
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [circle_sequence, lambda model, tol: circle_coefficient(model, 0, tol),
+     lambda model, tol: circle_sequence_to(model, 3, tol)],
+    ids=["circle_sequence", "circle_coefficient", "circle_sequence_to"],
+)
+def test_infinite_circle_tolerance_rejected(evaluate):
+    # circle_sequence ends its loop at n + 1 = tol / (2 per_tol), which an
+    # infinite tol makes NaN
+    with pytest.raises(ToleranceUnreachable, match="finite"):
+        evaluate(Geometric(1.0, 0.5), math.inf)
 
 
 def _reference_circle_coefficient(model, n, tol):
@@ -188,19 +202,24 @@ def test_geometric_circle_entry_points_agree(r):
 
 # the cells of the benchmark's transform workload at the ends of its scale
 # range 0.95..1.05 and in the middle, with the stop index N the prefix path
-# gave there: the Geometric closed form keeps the stop rule and these N
+# gave there: the Geometric closed form keeps the stop rule and these N.
+# Three stops at scale 1.05 moved one down when the mass bound came to be
+# read from the coefficient prefix at tol/2000 instead of a second prefix
+# at tol/4; their rebuilt mass at theta = 0 stays within tol of a 40-digit
+# reference: PoissonType(52.5) at 1e-5 uses 0.93 of tol, PoissonType(2.1)
+# at 1e-10 0.87 and PowerLaw(1.05, 7) at 1e-10 0.96
 TRANSFORM_CELL_STOPS = [
     (("geometric", 1.0 - 0.9, 0.9), 1e-5, (25, 25, 25)),
     (("geometric", 1.0 - 0.9, 0.9), 1e-10, (49, 49, 50)),
     (("geometric", 1.0 - 0.99, 0.99), 1e-5, (82, 82, 83)),
     (("geometric", 1.0 - 0.99, 0.99), 1e-10, (165, 165, 165)),
     (("geometric", 0.5, 0.5), 1e-10, (17, 17, 17)),
-    (("poisson", 50.0), 1e-5, (31, 32, 33)),
+    (("poisson", 50.0), 1e-5, (31, 32, 32)),
     (("poisson", 50.0), 1e-10, (46, 47, 48)),
-    (("poisson", 2.0), 1e-10, (12, 12, 13)),
+    (("poisson", 2.0), 1e-10, (12, 12, 12)),
     (("powerlaw", 1.0, 4.5), 1e-5, (6, 6, 6)),
     (("powerlaw", 1.0, 4.5), 1e-10, (38, 38, 38)),
-    (("powerlaw", 1.0, 7.0), 1e-10, (11, 11, 12)),
+    (("powerlaw", 1.0, 7.0), 1e-10, (11, 11, 11)),
     (("powerlaw", 1.0, 3.5), 1e-5, (12, 12, 12)),
     (("powerlaw", 1.0, 3.5), 1e-6, (19, 19, 19)),
 ]
@@ -217,6 +236,92 @@ def test_circle_sequence_stops_where_the_prefix_path_stopped(desc, tol, stops):
         if isinstance(model, Geometric):
             size = truncation_index(model, 0, seq.per_term_tol / 2.0)
             assert seq.max_index + 5 <= 2 * size + 3
+
+
+def _exact_mass(model):
+    # sum_m a_m: exact rationals for Geometric, Finite and Poisson, and
+    # C zeta(p) to 40 digits for PowerLaw
+    if isinstance(model, Geometric):
+        return Fraction(model.c) / (1 - Fraction(model.r))
+    if isinstance(model, Finite):
+        return sum(map(Fraction, model.terms))
+    if isinstance(model, PoissonType):
+        return Fraction(1)
+    with mpmath.workdps(40):
+        return Fraction(mpmath.nstr(mpmath.mpf(model.C) * mpmath.zeta(model.p), 40))
+
+
+MASS_CELLS = [
+    (_VARIANTS[kind](first * scale, *rest), tol)
+    for (kind, first, *rest), tol, _ in TRANSFORM_CELL_STOPS
+    for scale in (0.95, 1.0, 1.05)
+] + [(Finite((0.5, 0.25, 0.0, 0.125)), 1e-10), (Finite((1.0, 1e-13, 0.0, 3e-14)), 1e-12)]
+
+
+@pytest.mark.parametrize("model, tol", MASS_CELLS)
+def test_circle_mass_bound_is_at_least_the_exact_mass(model, tol):
+    mass = _exact_mass(model)
+    assert Fraction(transform._circle_terms(model, tol)[1]) >= mass
+    # at the per-term tol / 1000 that circle_sequence uses, the prefix path's
+    # true dropped tail can fill its tol/2 allowance to within less than the
+    # rounding of the float terms and their sum: PowerLaw(0.95, 4.5) at 1e-13
+    # reads 3.8e-17 below the mass, which the stop rule's per-term charges cover
+    lowest = mass if isinstance(model, (Geometric, Finite)) else mass * (1 - Fraction(1, 2**52))
+    assert Fraction(transform._circle_terms(model, tol / 1000.0)[1]) >= lowest
+
+
+def _count_prefixes(monkeypatch):
+    built = []
+
+    def counted(model, tol):
+        built.append(tol)
+        return coefficient_prefix(model, tol)
+
+    monkeypatch.setattr(transform, "coefficient_prefix", counted)
+    return built
+
+
+@pytest.mark.parametrize(
+    "model", [Geometric(0.01, 0.99), Geometric(0.5, 0.5), Finite((0.5, 0.25, 0.0, 0.125))]
+)
+def test_circle_sequence_builds_no_prefix_where_the_mass_is_exact(model, monkeypatch):
+    want = circle_sequence(model, 1e-10)
+    built = _count_prefixes(monkeypatch)
+    assert circle_sequence(model, 1e-10) == want
+    assert built == []
+
+
+@pytest.mark.parametrize("model", [PowerLaw(1.0, 4.5), PoissonType(50.0)])
+def test_circle_sequence_builds_one_prefix_for_coefficients_and_mass(model, monkeypatch):
+    want = circle_sequence(model, 1e-10)
+    built = _count_prefixes(monkeypatch)
+    assert circle_sequence(model, 1e-10) == want
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("model", [PoissonType(3e4), Geometric(1.0, 0.999999)])
+def test_circle_sequence_ends_where_the_charge_reaches_tol(model, monkeypatch):
+    # the stop rule charges 2 (n + 1) tol / 1000, which alone reaches tol at
+    # n = 499; neither model captures its mass by then at tol 1e-3
+    evaluated = []
+
+    def counting(make):
+        def wrapped(*args):
+            coefficient = make(*args)
+
+            def counted(n):
+                evaluated.append(n)
+                return coefficient(n)
+
+            return counted
+
+        return wrapped
+
+    for name in ("_prefix_circle_terms", "_geometric_circle_terms"):
+        monkeypatch.setattr(transform, name, counting(getattr(transform, name)))
+    with pytest.raises(ToleranceUnreachable, match="charge"):
+        circle_sequence(model, 1e-3)
+    assert evaluated == list(range(500))
 
 
 def test_circle_coefficients_where_the_diagonal_weight_underflows():
