@@ -27,6 +27,7 @@ verification oracle.
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -78,7 +79,8 @@ def build_leading_table(max_n: int) -> LeadingCoeffTable:
 
 
 def asymptotic_ratio(j: int, n1: int, n2: int) -> float:
-    """cell(j, n1, n2) / (g[n1, n2] * j^n1), exact rational converted last."""
+    """cell(j, n1, n2) / (g[n1, n2] * j^n1), one correctly rounded int / int division."""
+    j = operator.index(j)
     if n1 < 1 or n2 < 0 or n2 > n1:
         raise UnsupportedRange(f"need 1 <= n1 and 0 <= n2 <= n1, got ({n1}, {n2})")
     if n1 + n2 >= j:
@@ -87,7 +89,7 @@ def asymptotic_ratio(j: int, n1: int, n2: int) -> float:
         )
     cell = deque(deriv_rows(j, n1 + n2), maxlen=1).pop()[n2]
     leading = deque(leading_rows(n1), maxlen=1).pop()[n2]
-    return float(Fraction(cell, leading * j ** n1))
+    return cell / (leading * j ** n1)
 
 
 def even_binomial_sum(j: int, ell: int) -> Fraction:
@@ -110,7 +112,7 @@ def odd_binomial_sum(j: int, ell: int) -> Fraction:
 
 
 def scaled_sum(j: int, ell: int, parity: str) -> float:
-    """sum(j, ell) / j^ell = diag(P, ell) / (s j^ell), rounded once to a float.
+    """sum(j, ell) / j^ell = diag(P, ell) / (s j^ell), one int / int division.
 
     (P, s) = (2j, 1) for even and (2j - 1, 4) for odd.  diag comes from
     derivatives: the moment polynomial (ell + 1 terms) where P > 2 ell,
@@ -123,6 +125,7 @@ def scaled_sum(j: int, ell: int, parity: str) -> float:
     """
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    j, ell = operator.index(j), operator.index(ell)
     if j < 1 or ell < 1:
         raise ValueError(f"j and ell must be positive, got j={j}, ell={ell}")
     power, scale = (2 * j, 1) if parity == "even" else (2 * j - 1, 4)
@@ -130,7 +133,7 @@ def scaled_sum(j: int, ell: int, parity: str) -> float:
         jensen_log2 = ell * math.log2(power / j) - math.log2(scale)
         if jensen_log2 > _LOG2_FLOAT_LIMIT or j > ell >= _PAIRINGS_OVERFLOW_ELL:
             raise OverflowError
-        return float(Fraction(_diagonal(power, ell), scale) / Fraction(j) ** ell)
+        return _diagonal(power, ell) / (scale * j ** ell)
     except OverflowError:
         raise UnsupportedRange(
             f"scaled {parity} sum at j={j}, ell={ell} exceeds float range"
@@ -152,7 +155,7 @@ def trace_convergence(
     ell: int, parity: str, sample_js: list[int] | tuple[int, ...]
 ) -> ConvergenceTrace:
     """Scaled sums v(j) = sum(j, ell)/j^ell over a strictly increasing j grid."""
-    js = tuple(int(j) for j in sample_js)
+    js = tuple(map(operator.index, sample_js))
     if not js:
         raise ValueError("sample_js must be nonempty")
     if any(b <= a for a, b in zip(js, js[1:])):
@@ -172,7 +175,8 @@ def constant_ratios(even: ConvergenceTrace, odd: ConvergenceTrace) -> dict:
     try:
         over_growth = even.estimated_constant / growth
     except OverflowError:
-        over_growth = float(Fraction(even.estimated_constant) / growth)
+        num, den = even.estimated_constant.as_integer_ratio()
+        over_growth = num / (den * growth)
     return {
         "even_over_odd": even.estimated_constant / odd.estimated_constant,
         "even_over_diagonal_growth": over_growth,

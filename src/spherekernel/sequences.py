@@ -12,14 +12,17 @@ derived from them are safe for downstream reconstruction guarantees
 
 A variant is one frozen dataclass holding its ``term``, certified
 ``tail``, convergence limit ``max_weight``, JSON name ``variant`` and
-``factorial_moment(k)``: the exact rational mu_k = sum_m a_m (m)_k,
-(m)_k = m (m-1) ... (m-k+1), where a closed form gives it, else None.
+``moment_ratio(weights)``: sum_k w_k mu_k as an exact integer ratio
+(num, den), with the factorial moments mu_k = sum_m a_m (m)_k, (m)_k =
+m (m-1) ... (m-k+1), where a closed form gives them, else None;
+``factorial_moment(k)`` is mu_k alone as a Fraction.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
@@ -89,11 +92,16 @@ class Finite:
         return self.terms[m] if m < len(self.terms) else 0.0
 
     def tail(self, start: int, ell: int) -> float:
-        exact = sum(Fraction(a) * m ** ell for m, a in enumerate(self.terms[start:], start))
-        return _ratio_up(*exact.as_integer_ratio())
+        # a term n / d has d = 2^e with e <= 1074, so the sum is exactly num / 2^1074
+        ratios = enumerate(map(float.as_integer_ratio, self.terms[start:]), start)
+        num = sum((n << 1075 - d.bit_length()) * m ** ell for m, (n, d) in ratios)
+        return _ratio_up(num, 1 << 1074)
+
+    def moment_ratio(self, weights: Sequence[int]) -> None:
+        # an exact sum over the terms costs more than the float series
+        return None
 
     def factorial_moment(self, k: int) -> None:
-        # an exact Fraction sum over the terms costs more than the float series
         return None
 
 
@@ -121,19 +129,22 @@ class Geometric:
         # the m = 0 term is 0 for ell > 0, so starts 0 and 1 share one bound
         if start == 1 and ell > 0:
             start = 0
-        # the sum over k is num / den exactly, with r = p / q; r^start is not
-        (a, b), (p, q) = self.c.as_integer_ratio(), self.r.as_integer_ratio()
-        row = enumerate(_stirling_row(ell, start))
-        num = a * q * sum(s * math.factorial(k) * p ** k * (q - p) ** (ell - k) for k, s in row)
-        den = b * (q - p) ** (ell + 1)
+        # the sum over k is num / den exactly; r^start is not
+        num, den = self.moment_ratio(_stirling_row(ell, start))
         if start == 0:
             return _ratio_up(num, den)
-        return _exp_up([math.log(num), -math.log(den), start * math.log(p / q)]) if num and p else 0.0
+        return _exp_up([math.log(num), -math.log(den), start * math.log(self.r)]) if num and self.r else 0.0
+
+    def moment_ratio(self, weights: Sequence[int]) -> tuple[int, int]:
+        # mu_k = c k! r^k / (1 - r)^(k+1), the k-th derivative of c / (1 - r z) at z = 1;
+        # with c = a / b and r = p / q, over the common denominator b (q - p)^(K+1)
+        (a, b), (p, q) = self.c.as_integer_ratio(), self.r.as_integer_ratio()
+        top = len(weights) - 1
+        num = sum(w * math.factorial(k) * p ** k * (q - p) ** (top - k) for k, w in enumerate(weights))
+        return a * q * num, b * (q - p) ** (top + 1)
 
     def factorial_moment(self, k: int) -> Fraction:
-        # k-th derivative of c / (1 - r z) at z = 1
-        r = Fraction(self.r)
-        return Fraction(self.c) * math.factorial(k) * r ** k / (1 - r) ** (k + 1)
+        return Fraction(*self.moment_ratio((0,) * k + (1,)))
 
 
 @dataclass(frozen=True)
@@ -168,8 +179,11 @@ class PowerLaw:
         n0 = float(start + 1)
         return self.C * (n0 ** -s + n0 ** (1.0 - s) / (s - 1.0))
 
-    def factorial_moment(self, k: int) -> None:
+    def moment_ratio(self, weights: Sequence[int]) -> None:
         # an integer combination of zeta values, which are not rational
+        return None
+
+    def factorial_moment(self, k: int) -> None:
         return None
 
 
@@ -219,9 +233,15 @@ class PoissonType:
                 return _exp_up([math.log(s), k * math.log(c), *log_q]).as_integer_ratio()
         return s * a ** k, b ** k
 
+    def moment_ratio(self, weights: Sequence[int]) -> tuple[int, int]:
+        # mu_k = c^k, the k-th derivative of exp(c (z - 1)) at z = 1; with c = a / b,
+        # over the common denominator b^K
+        a, b = self.c.as_integer_ratio()
+        top = len(weights) - 1
+        return sum(w * a ** k * b ** (top - k) for k, w in enumerate(weights)), b ** top
+
     def factorial_moment(self, k: int) -> Fraction:
-        # k-th derivative of exp(c (z - 1)) at z = 1; the mass is exactly 1
-        return Fraction(self.c) ** k
+        return Fraction(*self.moment_ratio((0,) * k + (1,)))
 
 
 SequenceModel = Union[Finite, Geometric, PowerLaw, PoissonType]

@@ -331,9 +331,9 @@ def derivative_at_zero_series(
     magnitude diag(m, ell) = sum_k N(2 ell, k) (m)_k, where N(2 ell, k)
     counts the partitions of 2 ell items into k blocks of even size; so
     the factorial moments mu_k = sum_m a_m (m)_k carry the sum.  Where the
-    model gives each mu_k as an exact Fraction (Geometric, Poisson), the
-    result is that rational correctly rounded, in O(ell), and tol is only
-    validated.  Otherwise the series is summed termwise, diag(m, ell) read
+    model gives the weighted sum of its mu_k as an exact integer ratio
+    (Geometric, Poisson), the result is that ratio correctly rounded by
+    one int / int division, in O(ell), and tol is only validated.  Otherwise the series is summed termwise, diag(m, ell) read
     off its integer moment polynomial, O(M * ell) for M terms; since
     diag(m, ell) <= g[ell, ell] m^ell, with g[ell, ell] = (2 ell - 1)!! the
     polynomial's leading coefficient, a certified weighted tail bound
@@ -349,11 +349,11 @@ def derivative_at_zero_series(
         )
     if not tol > 0.0:
         raise ToleranceUnreachable(f"tolerance must be positive, got {tol}")
-    moments = [model.factorial_moment(k) for k in range(1, ell + 1)]
+    # N(2 ell, 0) = 0, so the weights start at mu_1
+    ratio = model.moment_ratio(_even_block_counts(ell))
     try:
-        if None not in moments:
-            # Fraction -> float is one correctly rounded int / int division
-            total = float(sum(map(mul, _even_block_counts(ell)[1:], moments)))
+        if ratio is not None:
+            total = ratio[0] / ratio[1]
         else:
             highest_first = _diagonal_polynomial(ell)[::-1]
             cutoff = truncation_index(model, ell, tol / highest_first[0])

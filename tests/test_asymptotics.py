@@ -183,6 +183,25 @@ def test_trace_requires_increasing_js():
         scaled_sum(4, 1, "sideways")
 
 
+@pytest.mark.parametrize("j, ell", [(2.5, 1), (2.0, 1), (1_000_000.0, 2), (3, 1.5), (300, 1.0)])
+def test_scaled_sum_rejects_a_float_power_or_order(j, ell):
+    # an int / int division would take a float, so the integers are checked first
+    with pytest.raises(TypeError):
+        scaled_sum(j, ell, "even")
+
+
+@pytest.mark.parametrize("j", [9.5, 9.0, 200.0])
+def test_asymptotic_ratio_rejects_a_float_power(j):
+    with pytest.raises(TypeError):
+        asymptotic_ratio(j, 2, 1)
+
+
+@pytest.mark.parametrize("js", [[2.7, 3.9], [2.0, 3.0], (4, 8.0)])
+def test_trace_rejects_a_float_grid_instead_of_flooring_it(js):
+    with pytest.raises(TypeError):
+        trace_convergence(1, "even", js)
+
+
 def test_limit_constant_report_shape():
     report = limit_constant_report(1, (64, 128, 256))
     assert report["ell"] == 1

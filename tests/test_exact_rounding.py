@@ -9,6 +9,7 @@ range, and orders past UnsupportedRange.
 import hashlib
 import math
 
+from spherekernel import asymptotics, sequences, transform
 from spherekernel.asymptotics import asymptotic_ratio, constant_ratios, scaled_sum, trace_convergence
 from spherekernel.sequences import Finite, Geometric, PoissonType, weighted_tail_bound
 from spherekernel.transform import derivative_at_zero_series
@@ -95,3 +96,17 @@ def test_scaled_sums_ratios_and_traces_are_pinned_bit_for_bit():
 
 def test_weighted_tails_are_pinned_bit_for_bit():
     assert _digest(_tail_calls()) == "c369495fcfe0bd62757b6fcbcc4c1007ae0d0ad665f77eb7e716edcac049c9eb"
+
+
+def test_pinned_values_build_no_fraction(monkeypatch):
+    # each value is one int / int division; Fraction stays with the oracles
+    # (derivatives, the defining binomial sums) and factorial_moment
+    def refuse(*args):
+        raise AssertionError("Fraction built")
+
+    for module in (sequences, asymptotics):
+        monkeypatch.setattr(module, "Fraction", refuse)
+    assert not hasattr(transform, "Fraction")
+    test_derivative_series_values_are_pinned_bit_for_bit()
+    test_scaled_sums_ratios_and_traces_are_pinned_bit_for_bit()
+    test_weighted_tails_are_pinned_bit_for_bit()

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spherekernel.derivatives import _even_block_counts
 from spherekernel.errors import DivergentSeries, ToleranceUnreachable, UnsupportedRange
 from spherekernel import sequences
 from spherekernel.sequences import (
@@ -347,15 +348,25 @@ def test_factorial_moments_are_generating_function_derivatives(model, generating
     # mu_k = sum a_m (m)_k is the k-th derivative at z = 1 of sum a_m z^m,
     # here by mpmath's numerical differentiation at 30 digits
     with mpmath.workdps(30):
-        for k in range(6):
-            mu = model.factorial_moment(k)
-            assert isinstance(mu, Fraction)
-            assert abs(mu - Fraction(str(mpmath.diff(generating, 1, k)))) <= 1e-20 * max(1, mu)
+        derivs = [Fraction(str(mpmath.diff(generating, 1, k))) for k in range(6)]
+    for k in range(6):
+        mu = model.factorial_moment(k)
+        assert isinstance(mu, Fraction)
+        assert abs(mu - derivs[k]) <= 1e-20 * max(1, mu)
+    # the weighted sums behind the derivative series (N(2 ell, k)) and the
+    # tails (S(ell, k)), as integer ratios
+    for ell in range(1, 6):
+        for weights in (_even_block_counts(ell), sequences._stirling_row(ell, 0)):
+            num, den = model.moment_ratio(weights)
+            assert isinstance(num, int) and isinstance(den, int) and den > 0
+            want = sum(w * mu for w, mu in zip(weights, derivs))
+            assert abs(Fraction(num, den) - want) <= 1e-20 * max(1, want)
 
 
 def test_factorial_moments_without_a_rational_closed_form_are_none():
     for model in (Finite((1.0, 0.5)), PowerLaw(1.0, 4.5)):
         assert all(model.factorial_moment(k) is None for k in range(4))
+        assert model.moment_ratio((0, 1, 3)) is None
 
 
 @settings(max_examples=30)
