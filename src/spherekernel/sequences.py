@@ -12,17 +12,15 @@ derived from them are safe for downstream reconstruction guarantees
 
 A variant is one frozen dataclass holding its ``term``, certified
 ``tail``, convergence limit ``max_weight``, JSON name ``variant`` and
-``moment_ratio(weights)``: sum_k w_k mu_k as an exact integer ratio
-(num, den), with the factorial moments mu_k = sum_m a_m (m)_k, (m)_k =
-m (m-1) ... (m-k+1), where a closed form gives them, else None;
-``factorial_moment(k)`` is mu_k alone as a Fraction.
+``moment_ratio(weights)``: sum_k w_k mu_k over the factorial moments mu_k =
+sum_m a_m (m)_k, (m)_k = m (m-1) ... (m-k+1), as an exact integer ratio
+(num, den) where a closed form gives them, else None.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
@@ -73,8 +71,15 @@ def _ratio_up(num: int, den: int) -> float:
     return math.nextafter(total, math.inf) if top * den < num * bottom else total
 
 
+class _Variant:
+    def factorial_moment(self, k: int) -> Fraction | None:
+        """mu_k alone as a Fraction, or None without a closed form."""
+        ratio = self.moment_ratio((0,) * k + (1,))
+        return None if ratio is None else Fraction(*ratio)
+
+
 @dataclass(frozen=True)
-class Finite:
+class Finite(_Variant):
     """a_m = terms[m] for m < len(terms), 0 beyond."""
 
     variant: ClassVar[str] = "finite"
@@ -97,16 +102,13 @@ class Finite:
         num = sum((n << 1075 - d.bit_length()) * m ** ell for m, (n, d) in ratios)
         return _ratio_up(num, 1 << 1074)
 
-    def moment_ratio(self, weights: Sequence[int]) -> None:
+    def moment_ratio(self, weights: tuple[int, ...]) -> None:
         # an exact sum over the terms costs more than the float series
-        return None
-
-    def factorial_moment(self, k: int) -> None:
         return None
 
 
 @dataclass(frozen=True)
-class Geometric:
+class Geometric(_Variant):
     """a_m = c * r**m with c >= 0 and 0 <= r < 1."""
 
     variant: ClassVar[str] = "geometric"
@@ -135,20 +137,16 @@ class Geometric:
             return _ratio_up(num, den)
         return _exp_up([math.log(num), -math.log(den), start * math.log(self.r)]) if num and self.r else 0.0
 
-    def moment_ratio(self, weights: Sequence[int]) -> tuple[int, int]:
-        # mu_k = c k! r^k / (1 - r)^(k+1), the k-th derivative of c / (1 - r z) at z = 1;
-        # with c = a / b and r = p / q, over the common denominator b (q - p)^(K+1)
+    def moment_ratio(self, weights: tuple[int, ...]) -> tuple[int, int]:
+        # mu_k = c k! r^k / (1 - r)^(k+1) with c = a / b, r = p / q, all over b (q - p)^(top + 1)
         (a, b), (p, q) = self.c.as_integer_ratio(), self.r.as_integer_ratio()
         top = len(weights) - 1
         num = sum(w * math.factorial(k) * p ** k * (q - p) ** (top - k) for k, w in enumerate(weights))
         return a * q * num, b * (q - p) ** (top + 1)
 
-    def factorial_moment(self, k: int) -> Fraction:
-        return Fraction(*self.moment_ratio((0,) * k + (1,)))
-
 
 @dataclass(frozen=True)
-class PowerLaw:
+class PowerLaw(_Variant):
     """a_m = C * (m+1)**(-p) with C >= 0 and p > 1 (offset keeps a_0 finite)."""
 
     variant: ClassVar[str] = "powerlaw"
@@ -179,16 +177,13 @@ class PowerLaw:
         n0 = float(start + 1)
         return self.C * (n0 ** -s + n0 ** (1.0 - s) / (s - 1.0))
 
-    def moment_ratio(self, weights: Sequence[int]) -> None:
+    def moment_ratio(self, weights: tuple[int, ...]) -> None:
         # an integer combination of zeta values, which are not rational
-        return None
-
-    def factorial_moment(self, k: int) -> None:
         return None
 
 
 @dataclass(frozen=True)
-class PoissonType:
+class PoissonType(_Variant):
     """a_m = exp(-c) * c**m / m! with intensity c >= 0."""
 
     variant: ClassVar[str] = "poisson"
@@ -233,15 +228,11 @@ class PoissonType:
                 return _exp_up([math.log(s), k * math.log(c), *log_q]).as_integer_ratio()
         return s * a ** k, b ** k
 
-    def moment_ratio(self, weights: Sequence[int]) -> tuple[int, int]:
-        # mu_k = c^k, the k-th derivative of exp(c (z - 1)) at z = 1; with c = a / b,
-        # over the common denominator b^K
+    def moment_ratio(self, weights: tuple[int, ...]) -> tuple[int, int]:
+        # mu_k = c^k with c = a / b, all over b^top
         a, b = self.c.as_integer_ratio()
         top = len(weights) - 1
         return sum(w * a ** k * b ** (top - k) for k, w in enumerate(weights)), b ** top
-
-    def factorial_moment(self, k: int) -> Fraction:
-        return Fraction(*self.moment_ratio((0,) * k + (1,)))
 
 
 SequenceModel = Union[Finite, Geometric, PowerLaw, PoissonType]

@@ -331,10 +331,11 @@ def derivative_at_zero_series(
     magnitude diag(m, ell) = sum_k N(2 ell, k) (m)_k, where N(2 ell, k)
     counts the partitions of 2 ell items into k blocks of even size; so
     the factorial moments mu_k = sum_m a_m (m)_k carry the sum.  Where the
-    model gives the weighted sum of its mu_k as an exact integer ratio
-    (Geometric, Poisson), the result is that ratio correctly rounded by
-    one int / int division, in O(ell), and tol is only validated.  Otherwise the series is summed termwise, diag(m, ell) read
-    off its integer moment polynomial, O(M * ell) for M terms; since
+    model gives this sum of its mu_k as an exact integer ratio (Geometric,
+    Poisson), the result is that ratio correctly rounded by one int / int
+    division, in O(ell), and tol is only validated.  Otherwise the series
+    is summed termwise, diag(m, ell) read off its integer moment
+    polynomial, O(M * ell) for M terms; since
     diag(m, ell) <= g[ell, ell] m^ell, with g[ell, ell] = (2 ell - 1)!! the
     polynomial's leading coefficient, a certified weighted tail bound
     scaled by g[ell, ell] controls truncation.  A value beyond float range
@@ -349,8 +350,7 @@ def derivative_at_zero_series(
         )
     if not tol > 0.0:
         raise ToleranceUnreachable(f"tolerance must be positive, got {tol}")
-    # N(2 ell, 0) = 0, so the weights start at mu_1
-    ratio = model.moment_ratio(_even_block_counts(ell))
+    ratio = model.moment_ratio(_even_block_counts(ell))  # N(2 ell, 0) = 0
     try:
         if ratio is not None:
             total = ratio[0] / ratio[1]
