@@ -131,7 +131,7 @@ class Geometric(_Variant):
         # the m = 0 term is 0 for ell > 0, so starts 0 and 1 share one bound
         if start == 1 and ell > 0:
             start = 0
-        # the sum over k is num / den exactly; r^start is not
+        # the tail is r^start sum_k B_k mu_k: the sum is num / den exactly, r^start is not
         num, den = self.moment_ratio(_stirling_row(ell, start))
         if start == 0:
             return _ratio_up(num, den)
