@@ -4,6 +4,7 @@ import time
 from decimal import MAX_PREC, Context, Decimal, Inexact, Rounded, localcontext
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import spherekernel.derivatives as derivatives
@@ -188,6 +189,13 @@ def test_scaled_sum_rejects_a_float_power_or_order(j, ell):
     # an int / int division would take a float, so the integers are checked first
     with pytest.raises(TypeError):
         scaled_sum(j, ell, "even")
+
+
+def test_scaled_sum_reads_a_numpy_power_as_a_python_int():
+    # a fixed-width power would wrap in the moment polynomial
+    for j in (10**6, 2**40):
+        assert scaled_sum(np.int64(j), 3, "even") == scaled_sum(j, 3, "even")
+    assert asymptotic_ratio(np.int64(3000), 5, 5) == asymptotic_ratio(3000, 5, 5)
 
 
 @pytest.mark.parametrize("j", [9.5, 9.0, 200.0])
