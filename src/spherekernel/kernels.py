@@ -105,6 +105,7 @@ from __future__ import annotations
 import math
 import sys
 from array import array
+from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
@@ -286,14 +287,8 @@ def _angle_prefix(prefix: _Prefix, dimension: int | None, t: float, tol: float):
     rest, hi = prefix.rest, len(coeffs) // 2
     if env is None or env(hi) * rest[hi] > tol:
         return coeffs
-    lo = 0  # the test passes at hi and fails at lo, or lo = 0
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if env(mid) * rest[mid] <= tol:
-            hi = mid
-        else:
-            lo = mid
-    return coeffs[:hi]
+    # the test passes at hi: the least m in [1, hi] where it passes
+    return coeffs[:bisect_left(range(hi), True, 1, key=lambda m: env(m) * rest[m] <= tol)]
 
 
 def _as_model(spec) -> SequenceModel:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
@@ -314,14 +315,10 @@ def truncation_index(model: SequenceModel, ell: int, tol: float) -> int:
             raise ToleranceUnreachable(
                 f"no index below {_SEARCH_CAP} certifies tail <= {tol} for {model!r}"
             )
-    lo = hi // 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if weighted_tail_bound(model, mid, ell).bound <= tol:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    # the least index past hi // 2 that certifies, or hi
+    return bisect_left(
+        range(hi), True, hi // 2 + 1, key=lambda m: weighted_tail_bound(model, m, ell).bound <= tol
+    )
 
 
 def coefficient_prefix(model: SequenceModel, tol: float) -> tuple[float, ...]:

@@ -11,7 +11,7 @@ import math
 
 from spherekernel import asymptotics, sequences, transform
 from spherekernel.asymptotics import asymptotic_ratio, constant_ratios, scaled_sum, trace_convergence
-from spherekernel.sequences import Finite, Geometric, PoissonType, weighted_tail_bound
+from spherekernel.sequences import Finite, Geometric, PoissonType, PowerLaw, weighted_tail_bound
 from spherekernel.transform import derivative_at_zero_series
 
 
@@ -84,6 +84,19 @@ def _tail_calls():
         for start in (0, 1, 5, 100)
         for ell in range(21)
     ]
+
+
+def test_truncation_indices_are_pinned_bit_for_bit():
+    # the benchmark's model grid
+    models = [Geometric(1.0, r) for r in (0.5, 0.9, 0.99)] + [PoissonType(2.0), PoissonType(50.0)]
+    models += [PowerLaw(1.0, p) for p in (3.5, 4.5, 7.0)]
+    calls = [
+        lambda model=model, ell=ell, tol=tol: sequences.truncation_index(model, ell, tol)
+        for model in models
+        for ell in range(4)
+        for tol in (1e-5, 1e-10, 1e-13)
+    ]
+    assert _digest(calls) == "7cff836f0c43d198c216e5f4cd8fe2c182deaeb98d6036eda79bad3ee8ed38e0"
 
 
 def test_derivative_series_values_are_pinned_bit_for_bit():

@@ -1,12 +1,13 @@
-import functools
+import ast
 import hashlib
 import math
 import random
 import sys
 import threading
 from array import array
-from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import product
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 import scipy.special
 from hypothesis import given, settings, strategies as st
 
+import _reference
 from spherekernel import kernels
 from spherekernel.errors import DimensionMismatch, ToleranceUnreachable
 from spherekernel.kernels import (
@@ -27,6 +29,7 @@ from spherekernel.kernels import (
     psd_spot_check,
 )
 from spherekernel.sequences import (
+    _VARIANTS,
     Finite,
     Geometric,
     PoissonType,
@@ -137,30 +140,6 @@ def _reference_gegenbauer_sum(coeffs, lam, t):
     return total
 
 
-def _decimal_gegenbauer_sum(coeffs, lam, t):
-    """sum_k coeffs[k] C_k^lam(t) / C_k^lam(1) in 30-digit decimal arithmetic,
-    through C_k^lam(t) = ((k + lam - 1) 2t C_{k-1} - (k + 2 lam - 2) C_{k-2}) / k
-    and C_k^lam(1) = C_{k-1}^lam(1) (k + 2 lam - 1) / k, with C_k^lam(1) > 0.
-    lam = inf sums coeffs[k] t^k, the limit of the normalized polynomials.
-    """
-    with localcontext() as ctx:
-        ctx.prec = 30
-        x = Decimal(t)
-        if lam == math.inf:
-            total = Decimal(0)
-            for a in reversed(coeffs):
-                total = total * x + Decimal(a)
-            return float(total)
-        lam = Decimal(lam)
-        c_prev, c_cur, n_cur = Decimal(1), 2 * lam * x, 2 * lam
-        total = Decimal(coeffs[0]) + Decimal(coeffs[1]) * x
-        for k, a in enumerate(coeffs[2:], 2):
-            c_prev, c_cur = c_cur, ((k + lam - 1) * 2 * x * c_cur - (k + 2 * lam - 2) * c_prev) / k
-            n_cur = n_cur * (k + 2 * lam - 1) / k
-            total += Decimal(a) * c_cur / n_cur
-        return float(total)
-
-
 @pytest.mark.parametrize(
     "model",
     [Geometric(1.0, 0.5), PoissonType(3.0), PowerLaw(1.0, 3.5), Finite((0.2, 0.0, 0.5, 0.0, 0.3))],
@@ -177,11 +156,11 @@ def test_gegenbauer_sum_equals_simultaneous_recurrence_reference(model, tol):
         # the Legendre loop is unchanged, bit for bit
         assert kernels._gegenbauer_sum(coeffs, 0.5, t) == _reference_gegenbauer_sum(coeffs, 0.5, t)
         for lam in (1.0, 1.5, 3.0, (10**9 - 1) / 2, (10**11 - 1) / 2):
-            want = _decimal_gegenbauer_sum(coeffs, lam, t)
+            want = float(_reference.gegenbauer_series(coeffs, lam, t))
             assert abs(kernels._gegenbauer_sum(coeffs, lam, t) - want) <= bound, (lam, theta)
         # this lam overflowed both unnormalized recurrences; here g_k = t^k
         got = kernels._gegenbauer_sum(coeffs, (10**200 - 1) / 2, t)
-        assert abs(got - _decimal_gegenbauer_sum(coeffs, math.inf, t)) <= bound, theta
+        assert abs(got - float(_reference.gegenbauer_series(coeffs, math.inf, t))) <= bound, theta
 
 
 _S2_PINNED_GEOMETRIC = [Geometric(1.0, r) for r in (0.5, 0.9, 0.99)]
@@ -250,20 +229,6 @@ def test_recurrence_tables_under_concurrent_builds():
     assert len(got) == 160 and all(value == want[d] for d, value in got)
 
 
-def _mp_normalized_gegenbauer(lam, t, count):
-    """C_k^lam(t) / C_k^lam(1) for k < count, at 30 digits (the float t exactly)."""
-    with mpmath.workdps(30):
-        lam, x = mpmath.mpf(lam), mpmath.mpf(t)
-        c_prev, c_cur = mpmath.mpf(1), 2 * lam * x
-        n_cur = 2 * lam  # C_k^lam(1) = binomial(k + 2 lam - 1, k)
-        values = [c_prev, c_cur / n_cur]
-        for k in range(2, count):
-            c_prev, c_cur = c_cur, (2 * x * (k + lam - 1) * c_cur - (k + 2 * lam - 2) * c_prev) / k
-            n_cur = n_cur * (k + 2 * lam - 1) / k
-            values.append(c_cur / n_cur)
-        return values
-
-
 # within 1e-3 of both ends, where the envelopes are 1 for many degrees
 _ENVELOPE_ANGLES = (1e-3, 0.7, math.pi / 2, math.pi - 1e-3)
 
@@ -274,7 +239,7 @@ def test_envelope_bounds_normalized_gegenbauer(dimension):
     for theta in _ENVELOPE_ANGLES:
         t = math.cos(theta)
         env = kernels._envelope(dimension, t)
-        values = _mp_normalized_gegenbauer(lam, t, 4001)
+        values = _reference.gegenbauer_values(lam, t, 4001)
         # env(k) bounds degree k; env does not grow, so it bounds every degree >= k
         assert all(abs(values[k]) <= env(k) for k in range(1, 4001)), theta
         assert all(env(k + 1) <= env(k) <= 1.0 for k in range(1, 4000))
@@ -310,221 +275,11 @@ def test_suffix_tails_bound_the_exact_suffix_sums(model):
     assert prefix.rest[0] <= float(exact) * (1.0 + 1e-12)
 
 
-def _mp_gegenbauer_series(lam, t, terms, count):
-    """sum_{k < count} terms(k) C_k^lam(t) / C_k^lam(1) at 30 digits."""
-    values = _mp_normalized_gegenbauer(lam, t, count)
-    with mpmath.workdps(30):
-        return float(mpmath.fsum(terms(k) * v for k, v in enumerate(values)))
-
-
 _INTERIOR_ANGLES = (0.4, 1.1, 1.9, 2.8)
-
-
-# the closed forms are checked at these angles and ratios, and at c = 0
-_FORM_ANGLES = (0.0, 1e-8, 1e-5, 0.7, 2.0, 3.1, math.pi, -0.4, 7.0)
-_FORM_RATIOS = (0.0, 0.5, 0.99, 1.0 - 2.0**-20)
-
-
-def _mp_cos(theta):
-    return mpmath.cos(mpmath.mpf(theta))
-
-
-def _mp_hilbert_geometric(c, r, theta):
-    """sum_m c r^m cos^m theta by mpmath.nsum at 40 digits.
-
-    Levin's transform: the default Richardson and Shanks steps stopped early
-    on 6 of 1,813 drawn (r, theta), such as r = 0.5, theta = -1.925.
-    """
-    with mpmath.workdps(40):
-        x = mpmath.mpf(r) * _mp_cos(theta)
-        return mpmath.nsum(lambda m: mpmath.mpf(c) * x**m, [0, mpmath.inf], method="levin")
-
-
-def _mp_s2_geometric(c, r, theta):
-    """sum_k c r^k P_k(cos theta) at 40 digits.
-
-    For r <= 0.99 the Legendre series itself, by mpmath.nsum.  At r = 1 - 2^-20
-    it needs about 5e7 terms, so each P_k comes from Laplace's first integral,
-    P_k(cos theta) = (1/pi) int_0^pi (cos theta + i sin theta cos phi)^k dphi
-    (Whittaker and Watson, 15.23), and the geometric series in k is summed
-    under the integral sign.
-    """
-    with mpmath.workdps(40):
-        t, c, r = _mp_cos(theta), mpmath.mpf(c), mpmath.mpf(r)
-        if r <= 0.99:
-            return mpmath.nsum(lambda k: c * r**k * mpmath.legendre(k, t), [0, mpmath.inf])
-        s = mpmath.sin(mpmath.mpf(theta))
-        integrand = lambda phi: 1 / (1 - r * t - 1j * r * s * mpmath.cos(phi))
-        return c * mpmath.quad(integrand, [0, mpmath.pi / 2, mpmath.pi]).real / mpmath.pi
-
-
-def _mp_hilbert_poisson(c, theta):
-    """sum_m e^-c c^m cos^m theta / m! at 40 digits, over m < 2c + 200.
-
-    Past m = 2c the terms fall by half at least per step, so the rest is
-    below twice the last term, under 1e-60 of the mass here.
-    """
-    with mpmath.workdps(40):
-        x = mpmath.mpf(c) * _mp_cos(theta)
-        term, terms = mpmath.exp(-mpmath.mpf(c)), []
-        for m in range(int(2 * c) + 200):
-            terms.append(term)
-            term = term * x / (m + 1)
-        return mpmath.fsum(terms)
-
-
-def _mp_s3_geometric(c, r, theta):
-    """sum_k c r^k sin((k+1) theta) / ((k+1) sin theta) at 40 digits, as
-    c Im(-log(1 - r e^(i theta))) / (r sin theta), and c / (1 - r) at theta = 0."""
-    with mpmath.workdps(40):
-        c, r, theta = mpmath.mpf(c), mpmath.mpf(r), mpmath.mpf(theta)
-        if theta == 0:
-            return c / (1 - r)
-        return c * mpmath.im(-mpmath.log(1 - r * mpmath.exp(1j * theta))) / (r * mpmath.sin(theta))
-
-
-def _mp_s4_geometric(c, r, theta):
-    """sum_k c r^k C_k^(3/2)(t) / C_k^(3/2)(1) at t = cos theta, as the
-    generating function (1 - 2 t z + z^2)^(-3/2) integrated twice in z,
-    2 c (sqrt(1 - 2 r t + r^2) - 1 + r t) / (r^2 (1 - t^2)), and c / (1 - r)
-    at theta = 0.  Both differences cancel up to 32 digits at theta = pi,
-    so they are taken at 80.
-    """
-    with mpmath.workdps(80):
-        c, r, theta = mpmath.mpf(c), mpmath.mpf(r), mpmath.mpf(theta)
-        if theta == 0:
-            return c / (1 - r)
-        t = mpmath.cos(theta)
-        return 2 * c * (mpmath.sqrt(1 - 2 * r * t + r * r) - 1 + r * t) / (r * r * (1 - t * t))
-
-
-# 0.99^5600 < 1e-24: the normalized Gegenbauer values the S^3 and S^4 oracles sum
-_DECIMAL_TERMS = 5600
-
-
-@functools.lru_cache(maxsize=None)
-def _decimal_normalized_gegenbauer(lam, theta):
-    """g_k(cos theta) for k < _DECIMAL_TERMS by the normalized recurrence
-    g_k = (2 (k + lam - 1) t g_{k-1} - (k - 1) g_{k-2}) / (k + 2 lam - 1)
-    in 40-digit decimal arithmetic, from the float theta's cosine to 40 digits."""
-    with mpmath.workdps(40):
-        t = Decimal(mpmath.nstr(_mp_cos(theta), 40))
-    with localcontext() as ctx:
-        ctx.prec = 40
-        lam = Decimal(lam)
-        values = [Decimal(1), t]
-        for k in range(2, _DECIMAL_TERMS):
-            values.append((2 * (k + lam - 1) * t * values[-1] - (k - 1) * values[-2]) / (k + 2 * lam - 1))
-        return values
-
-
-def _decimal_geometric(c, r, dimension, theta):
-    """sum_k c r^k g_k(cos theta) over the recurrence above, at 40 digits.
-
-    The sum stops where r^k < 1e-24; as |g_k| <= 1 the rest is below
-    1e-24 c / (1 - r), under 1e-7 of a unit of any form's bound.
-    """
-    values = _decimal_normalized_gegenbauer((dimension - 1) / 2.0, theta)
-    with localcontext() as ctx:
-        ctx.prec = 40
-        r, power, total = Decimal(r), Decimal(1), Decimal(0)
-        for value in values:
-            if power < Decimal("1e-24"):
-                break
-            total += power * value
-            power *= r
-        assert power < Decimal("1e-24")
-        total *= Decimal(c)
-    with mpmath.workdps(40):
-        return mpmath.mpf(str(total))
-
-
-# an oracle for every row of kernels._FORMS: (model, theta) -> phi(theta),
-# sharing no code with the form
-_FORM_ORACLES = {
-    (Geometric, None): lambda model, theta: _mp_hilbert_geometric(model.c, model.r, theta),
-    (Geometric, 2): lambda model, theta: _mp_s2_geometric(model.c, model.r, theta),
-    (Geometric, 3): lambda model, theta: _decimal_geometric(model.c, model.r, 3, theta),
-    (Geometric, 4): lambda model, theta: _decimal_geometric(model.c, model.r, 4, theta),
-    (PoissonType, None): lambda model, theta: _mp_hilbert_poisson(model.c, theta),
-}
 
 
 def _form_bound(model, dimension):
     return kernels._form_bound(kernels._FORMS[type(model), dimension], model)
-
-
-def _assert_geometric_form_within_its_bound(dimension, oracle, ratios, angles):
-    tol = 1e-6  # above every bound on the grid, so the form is taken
-    for c, r in [(0.3, r) for r in ratios] + [(0.0, 0.5)]:
-        model = Geometric(c, r)
-        bound = _form_bound(model, dimension)
-        assert bound <= tol and kernels._kernel_form(model, dimension, tol) is not None
-        for theta in angles:
-            got = phi_eval(KernelSpec(dimension, model), theta, tol)
-            with mpmath.workdps(40):
-                assert abs(got - oracle(model, theta)) <= bound, (c, r, theta)
-
-
-def test_hilbert_geometric_matches_generating_function():
-    oracle = _FORM_ORACLES[Geometric, None]
-    _assert_geometric_form_within_its_bound(None, oracle, _FORM_RATIOS, _FORM_ANGLES)
-    # the series path still cuts its prefix short where |cos theta| < 1
-    model, tol = PowerLaw(1.0, 3.5), 1e-10
-    prefix = kernels._coefficient_prefix(model, tol)
-    for theta in _INTERIOR_ANGLES:
-        t = math.cos(theta)
-        assert len(kernels._angle_prefix(prefix, None, t, tol)) < len(prefix)
-        with mpmath.workdps(30):
-            want = mpmath.polylog(3.5, mpmath.mpf(t)) / t
-        assert abs(phi_eval_inf(model, theta, tol) - want) <= tol
-
-
-def test_s2_geometric_matches_generating_function():
-    oracle = _FORM_ORACLES[Geometric, 2]
-    _assert_geometric_form_within_its_bound(2, oracle, _FORM_RATIOS, _FORM_ANGLES)
-
-
-# the S^3 and S^4 forms are checked on this grid, and at c = 0
-_GEGENBAUER_FORM_ANGLES = (0.0, 1e-8, 1e-5, 1e-3, 0.7, 2.0, 3.1, math.pi, -0.4, 7.0)
-_GEGENBAUER_FORM_RATIOS = (0.0, 0.3, 0.5, 0.9, 0.99)
-
-
-@pytest.mark.parametrize(
-    "dimension, generating_function", [(3, _mp_s3_geometric), (4, _mp_s4_geometric)]
-)
-def test_s3_s4_geometric_match_the_gegenbauer_recurrence(dimension, generating_function):
-    oracle = _FORM_ORACLES[Geometric, dimension]
-    _assert_geometric_form_within_its_bound(
-        dimension, oracle, _GEGENBAUER_FORM_RATIOS, _GEGENBAUER_FORM_ANGLES
-    )
-    # r = 1 - 2^-20 would need about 5e7 terms; its generating function,
-    # written otherwise than the form, instead
-    oracle = lambda model, theta: generating_function(model.c, model.r, theta)
-    _assert_geometric_form_within_its_bound(
-        dimension, oracle, (1.0 - 2.0**-20,), _GEGENBAUER_FORM_ANGLES
-    )
-
-
-def test_hilbert_poisson_matches_its_series():
-    tol = 1e-10
-    oracle = _FORM_ORACLES[PoissonType, None]
-    for c in (0.0, 0.5, 2.0, 50.0, 1e3):
-        model = PoissonType(c)
-        bound = _form_bound(model, None)
-        assert kernels._kernel_form(model, None, tol) is not None
-        for theta in _FORM_ANGLES:
-            got = phi_eval_inf(model, theta, tol)
-            assert abs(got - oracle(model, theta)) <= bound, (c, theta)
-
-
-@pytest.mark.parametrize("theta", [1e-5, 1e-4, 1e-3])
-def test_s2_geometric_near_zero_meets_the_tolerance(theta):
-    # the summed Legendre series missed here by 1.0043, 0.74 and 0.24 tol:
-    # its certified tail used almost all of tol, leaving none for rounding
-    tol = 1e-10
-    got = phi_eval_d(KernelSpec(2, Geometric(1.0, 0.99)), theta, tol)
-    assert abs(got - _mp_s2_geometric(1.0, 0.99, theta)) <= tol
 
 
 def test_geometric_forms_near_the_float_maximum():
@@ -578,31 +333,92 @@ def test_forms_fall_back_to_the_series_below_their_bounds():
         assert kernels._kernel_form(model, dimension, 1e-3) is None
 
 
-def test_every_form_has_an_oracle_and_a_fallback_case():
-    # a row cannot land untested: each needs an oracle and a recorded series value
-    for key in kernels._FORMS:
-        assert key in _FORM_ORACLES and key in _FALLBACK_CASES, key
-        model, _ = _FALLBACK_CASES[key]
-        got = phi_eval(KernelSpec(key[1], model), 0.7, 1e-6)
-        with mpmath.workdps(40):
-            assert abs(got - _FORM_ORACLES[key](model, 0.7)) <= _form_bound(model, key[1]), key
-    assert set(_FORM_ORACLES) == set(_FALLBACK_CASES) == set(kernels._FORMS)
+# The contract |phi_eval - phi| <= bound on every (variant, sphere) cell against
+# _reference.kernel: the bound is the row's rounding bound where _kernel_form
+# takes a closed form, else tol, plus the reference's own remainder.
+_SPHERES = (None, 1, 2, 3, 4, 5, 6)
+_CONTRACT_ANGLES = (0.0, 1e-8, 1e-5, 1e-4, 1e-3, 0.3, 0.7, math.pi / 2, 2.0, 2.1, 3.1, math.pi, -0.4, 7.0)
+_CONTRACT_ANGLES += _INTERIOR_ANGLES
+
+# (models, tolerances, spheres): every model at every tolerance, angle and sphere
+_CONTRACT_GRID = [
+    ([Geometric(0.3, r) for r in (0.0, 0.3, 0.5, 0.9, 0.99)], (1e-6, 1e-10), _SPHERES),
+    ([Geometric(0.0, 0.5), Geometric(1.0, 0.5), Geometric(1.0, 0.99)], (1e-6, 1e-10), _SPHERES),
+    ([Geometric(0.5, 0.5)], (1e-6, 1e-10, 1e-13), _SPHERES),
+    # a series would sum about 4e7 terms, so only where a form is taken
+    ([Geometric(0.3, 1.0 - 2.0**-20)], (1e-6,), (None, 2, 3, 4)),
+    ([PoissonType(c) for c in (0.0, 0.5, 2.0, 50.0, 1e3)], (1e-6, 1e-10), _SPHERES),
+    ([PowerLaw(1.0, 3.5)], (1e-6, 1e-10), (None, 1)),
+    # the 2,000-term reference leaves 2.2e-9, far below this tol
+    ([PowerLaw(1.0, 3.5)], (1e-6,), (2, 3, 4, 5, 6)),
+    ([Finite((0.5, 0.0, 0.25, 0.125)), Finite((1.0, 1e-13, 0.0, 3e-14))], (1e-6, 1e-10), _SPHERES),
+]
+
+# (model, sphere, theta, tol) -> its miss, as the cutoff takes all of tol and the
+# sum adds its rounding on top
+_KNOWN_MISSES = {
+    (Geometric(1.0, 0.99), 5, 1e-5, 1e-10): "misses by 1.0036 tol",
+    (Geometric(1.0, 0.99), 6, 1e-5, 1e-10): "misses by 1.0085 tol",
+    (Geometric(1.0, 0.9999), 1, 0.0, 1e-10): "misses by 1.009 tol",
+    (Geometric(1.0, 0.9999), 5, 0.0, 1e-10): "misses by 63.89 tol",
+    (Geometric(1.0, 0.999), 5, 0.0, 1e-10): "misses by 1.128 tol",
+    (PoissonType(3e5), 2, 0.0, 1e-10): "misses by 2.18 tol, through its prefix terms",
+    (Geometric(1.0, 0.99), None, 1e-8, 1e-13): "misses by 3.14 tol",
+    (Geometric(1.0, 0.99), 2, 1e-8, 1e-13): "misses by 488 tol",
+    (PoissonType(1e3), 2, 1e-8, 1e-13): "misses by 247 tol",
+}
 
 
-@pytest.mark.parametrize("dimension", [2, 3, 4])
-def test_powerlaw_matches_mpmath_gegenbauer_series(dimension):
-    model, tol = PowerLaw(1.0, 3.5), 1e-6
-    count = 2000
-    # |normalized C_k| <= 1 and (k+1)^-3.5 <= the integral over [k, k+1]
-    remainder = count ** -2.5 / 2.5
-    prefix = kernels._coefficient_prefix(model, tol)
-    lam = (dimension - 1) / 2.0
-    for theta in _INTERIOR_ANGLES:
-        t = math.cos(theta)
-        assert len(kernels._angle_prefix(prefix, dimension, t, tol)) < len(prefix)
-        want = _mp_gegenbauer_series(lam, t, lambda k: mpmath.mpf(k + 1) ** -3.5, count)
-        got = phi_eval_d(KernelSpec(dimension, model), theta, tol)
-        assert abs(got - want) <= tol + remainder
+def _contract_cases(variant, dimension):
+    return [
+        (model, theta, tol)
+        for models, tols, spheres in _CONTRACT_GRID if dimension in spheres
+        for model in models if type(model) is variant
+        for tol in tols
+        for theta in _CONTRACT_ANGLES if (model, dimension, theta, tol) not in _KNOWN_MISSES
+    ]
+
+
+def _contract_params():
+    name = lambda dimension: "hilbert" if dimension is None else f"S{dimension}"
+    for variant, dimension in product(_VARIANTS.values(), _SPHERES):
+        cases = _contract_cases(variant, dimension)
+        yield pytest.param(dimension, cases, id=f"{variant.variant}-{name(dimension)}")
+    for (model, dimension, theta, tol), miss in _KNOWN_MISSES.items():
+        yield pytest.param(
+            dimension, [(model, theta, tol)], id=f"miss-{model}-{name(dimension)}-{theta}-{tol}",
+            marks=pytest.mark.xfail(raises=AssertionError, strict=True, reason=f"ROADMAP item 2: {miss}"),
+        )
+
+
+@pytest.mark.parametrize("dimension, cases", _contract_params())
+def test_phi_eval_meets_its_contract(dimension, cases):
+    for model, theta, tol in cases:
+        form = kernels._kernel_form(model, dimension, tol)
+        bound = tol if form is None else _form_bound(model, dimension)
+        want, remainder = _reference.kernel(model, dimension, theta)
+        got = phi_eval(KernelSpec(dimension, model), theta, tol)
+        with mpmath.workdps(_reference.DPS):
+            assert abs(got - want) <= bound + remainder, (model, dimension, theta, tol)
+
+
+def test_every_form_and_sphere_has_contract_cases():
+    # no form row, variant or sphere lands untested, nor a form without a series value
+    for variant, dimension in set(kernels._FORMS) | set(product(_VARIANTS.values(), _SPHERES)):
+        assert _contract_cases(variant, dimension), (variant, dimension)
+    assert set(_FALLBACK_CASES) == set(kernels._FORMS)
+    for key, (model, _) in _FALLBACK_CASES.items():
+        assert (model, 0.7, 1e-6) in _contract_cases(*key), key
+
+
+def test_reference_module_imports_nothing_from_the_library():
+    nodes = list(ast.walk(ast.parse(Path(_reference.__file__).read_text())))
+    modules = [alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names]
+    modules += [node.module or "" for node in nodes if isinstance(node, ast.ImportFrom)]
+    assert "mpmath" in modules and not [m for m in modules if m.split(".")[0] == "spherekernel"]
+    # and its table agrees with mpmath's own Gegenbauer polynomials
+    for lam, x in ((0.5, 0.3), (1.5, 0.7), (2.5, -0.999)):
+        assert _reference.gegenbauer_table_error(lam, x, (1, 7, 500, 6000)) < 1e-35, (lam, x)
 
 
 def _full_prefix_sum(model, dimension, theta, tol):
@@ -650,6 +466,11 @@ def test_s4_powerlaw_cutoff_is_far_below_the_plain_prefix():
     prefix = kernels._coefficient_prefix(model, tol)
     cut = len(kernels._angle_prefix(prefix, 4, math.cos(1.0), tol))
     assert len(prefix) > 6000 and cut < len(prefix) // 10
+    # and a cut below the plain prefix on every sphere with an envelope
+    for dimension, tol in ((None, 1e-10), (2, 1e-6), (3, 1e-6), (4, 1e-6)):
+        prefix = kernels._coefficient_prefix(model, tol)
+        for theta in _INTERIOR_ANGLES:
+            assert len(kernels._angle_prefix(prefix, dimension, math.cos(theta), tol)) < len(prefix)
 
 
 def test_phi_eval_d_single_degree_one_term():
@@ -679,12 +500,6 @@ def test_phi_eval_d_dimension_one_is_cosine_series():
     for theta in (0.0, 0.9, 2.2):
         want = 0.25 + 0.75 * math.cos(2 * theta)
         assert phi_eval_d(spec, theta, 1e-12) == pytest.approx(want, abs=1e-12)
-
-
-def test_phi_eval_inf_geometric_closed_form():
-    model = Geometric(0.5, 0.5)
-    for theta in (0.0, 0.3, math.pi / 2, 2.1, math.pi):
-        assert abs(phi_eval_inf(model, theta, 1e-13) - _mp_hilbert_geometric(0.5, 0.5, theta)) <= 1e-13
 
 
 def test_phi_eval_inf_at_right_angle_is_first_coefficient():

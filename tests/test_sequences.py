@@ -1,4 +1,3 @@
-import functools
 import json
 import math
 import sys
@@ -10,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import _reference
 from spherekernel.derivatives import _even_block_counts
 from spherekernel.errors import DivergentSeries, ToleranceUnreachable, UnsupportedRange
 from spherekernel import sequences
@@ -132,47 +132,6 @@ def test_weighted_tail_beyond_float_range_is_unsupported_range(model, ell):
     assert math.isfinite(weighted_tail_bound(model, 0, 1).bound)
 
 
-def _mp_poisson_tail(c, start, ell):
-    """sum_{m >= start} e^-c c^m m^ell / m!, summed term by term at 40 digits.
-
-    The term ratio c (1 + 1/m)^ell / (m + 1) falls with m, so once it is
-    below 1 the rest is at most term * ratio / (1 - ratio).
-    """
-    with mpmath.workdps(40):
-        c, m = mpmath.mpf(c), start
-        p = mpmath.exp(-c + m * mpmath.log(c) - mpmath.loggamma(m + 1))
-        total = mpmath.mpf(0)
-        while True:
-            term = p * mpmath.mpf(m) ** ell
-            total += term
-            if m > 0:
-                ratio = c / (m + 1) * (mpmath.mpf(m + 1) / m) ** ell
-                if ratio < 1 and term * ratio / (1 - ratio) < total * mpmath.mpf(10) ** -45:
-                    return total
-            p *= c / (m + 1)
-            m += 1
-
-
-def _mp_geometric_tail(c, r, start, ell):
-    """sum_{m >= start} c r^m m^ell at 40 digits, from the binomial expansion
-    c r^start sum_p C(ell, p) start^(ell - p) sum_n n^p r^n, with the inner
-    sums polylogarithms of negative order, plus 1 at p = 0 for n = 0."""
-    with mpmath.workdps(40):
-        r = mpmath.mpf(r)
-        inner = [_mp_polylog(-p, r) + (p == 0) for p in range(ell + 1)]
-        weights = [math.comb(ell, p) * start ** (ell - p) for p in range(ell + 1)]
-        return mpmath.mpf(c) * r ** start * mpmath.fsum(map(mpmath.fmul, weights, inner))
-
-
-_mp_polylog = functools.lru_cache(maxsize=None)(mpmath.polylog)
-
-
-def _mp_tail(model, start, ell):
-    if isinstance(model, Geometric):
-        return _mp_geometric_tail(model.c, model.r, start, ell)
-    return _mp_poisson_tail(model.c, start, ell)
-
-
 def _assert_sandwiched(model, start, ell):
     # Geometric tails, and Poisson tails from 0, within 1e-8 relative above
     # the exact value, and Poisson tails from start > 0 within 4 times it;
@@ -180,7 +139,7 @@ def _assert_sandwiched(model, start, ell):
     # 61 terms below the float range reads, and 1e-25 relative the oracle's
     # own rounding, far below a float's
     with mpmath.workdps(30):
-        exact = _mp_tail(model, start, ell)
+        exact = _reference.tail(model, start, ell)
         if exact > sys.float_info.max:
             with pytest.raises(UnsupportedRange, match="float range"):
                 weighted_tail_bound(model, start, ell)
@@ -192,19 +151,15 @@ def _assert_sandwiched(model, start, ell):
 
 
 @pytest.mark.parametrize(
-    "model, ell, exact",
-    [
-        (Geometric(1.0, 0.5), 118, lambda: mpmath.polylog(-118, 0.5)),
-        (Geometric(1.0, 0.5), 150, lambda: mpmath.polylog(-150, 0.5)),
-        (PoissonType(3.0), 200, lambda: _mp_poisson_tail(3.0, 0, 200)),
-    ],
+    "model, ell",
+    [(Geometric(1.0, 0.5), 118), (Geometric(1.0, 0.5), 150), (PoissonType(3.0), 200)],
     ids=["geometric-118", "geometric-150", "poisson-200"],
 )
-def test_weighted_tail_where_m_to_the_ell_leaves_float_range(model, ell, exact):
+def test_weighted_tail_where_m_to_the_ell_leaves_float_range(model, ell):
     # m**ell overflows a float from m = 410 (ell = 118) on, while the sum
     # of a_m m**ell is an ordinary float; the bound used to raise
     with mpmath.workdps(30):
-        want = exact()
+        want = _reference.tail(model, 0, ell)
         bound = weighted_tail_bound(model, 0, ell).bound
         assert want <= bound <= want * (1 + mpmath.mpf(1e-8))
 
@@ -338,17 +293,13 @@ def test_poisson_terms_nonnegative_and_finite(c, m):
 @pytest.mark.parametrize(
     "model, generating",
     [
-        (Geometric(0.7, 0.9), lambda z: 0.7 / (1 - 0.9 * z)),
-        (Geometric(2.0, 0.0), lambda z: mpmath.mpf(2)),
-        (PoissonType(2.5), lambda z: mpmath.exp(2.5 * (z - 1))),
-        (PoissonType(0.0), lambda z: mpmath.mpf(1)),
+        (model, _reference.generating_function(model))
+        for model in (Geometric(0.7, 0.9), Geometric(2.0, 0.0), PoissonType(2.5), PoissonType(0.0))
     ],
 )
 def test_factorial_moments_are_generating_function_derivatives(model, generating):
-    # mu_k = sum a_m (m)_k is the k-th derivative at z = 1 of sum a_m z^m,
-    # here by mpmath's numerical differentiation at 30 digits
-    with mpmath.workdps(30):
-        derivs = [Fraction(str(mpmath.diff(generating, 1, k))) for k in range(6)]
+    # mu_k = sum a_m (m)_k is the k-th derivative at z = 1 of sum a_m z^m
+    derivs = _reference.derivatives_at_one(generating, 6)
     for k in range(6):
         mu = model.factorial_moment(k)
         assert isinstance(mu, Fraction)

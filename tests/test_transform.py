@@ -2,12 +2,13 @@ import math
 import random
 import sys
 from fractions import Fraction
-from itertools import count, takewhile
+from itertools import count
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import _reference
 import spherekernel.derivatives as derivatives
 import spherekernel.kernels as kernels
 import spherekernel.sequences as sequences
@@ -24,7 +25,6 @@ from spherekernel.sequences import (
     _VARIANTS,
     coefficient_prefix,
     converges_weighted,
-    term,
     truncation_index,
     weighted_tail_bound,
 )
@@ -104,21 +104,6 @@ def test_infinite_circle_tolerance_rejected(evaluate):
         evaluate(Geometric(1.0, 0.5), math.inf)
 
 
-def _reference_circle_coefficient(model, n, tol):
-    # the exact rational b_n over the a_m of n's parity, stepping m until
-    # twice the certified tail from m drops to tol
-    if isinstance(model, Finite):
-        powers = range(n, len(model.terms), 2)
-    else:
-        powers = takewhile(
-            lambda m: weighted_tail_bound(model, m, 0).bound * 2.0 > tol, count(n, 2)
-        )
-    return sum(
-        Fraction(term(model, m)) * math.comb(m, (m + n) // 2) / 2 ** (m - 1 + (n == 0))
-        for m in powers
-    )
-
-
 def _assert_within_rounding(got, exact, size, context):
     # the weight recurrences over a size-term prefix round each b_n by at
     # most (2 size + 3) 2^-53 relative, plus a few 2^-1074 where weights
@@ -128,18 +113,13 @@ def _assert_within_rounding(got, exact, size, context):
 
 
 def _assert_geometric_within_rounding(model, n, got):
-    # c / (1 - r cos t) = (c / q) (1 + 2 sum_n rho^n cos(n t)), q = sqrt(1 - r^2),
-    # rho = r / (1 + q); the closed form is within (n + 5) 2^-53 relative of
-    # the true value, plus (c / q + 1) 2^-1072 where rho^n leaves the normal
-    # float range.  The oracle runs in 50-digit arithmetic.
+    # the closed form is within (n + 5) 2^-53 relative of the true value,
+    # plus (b_0 + 1) 2^-1072 where rho^n leaves the normal float range
     with mpmath.workdps(50):
-        q = mpmath.sqrt(1 - mpmath.mpf(model.r) ** 2)
-        scale = mpmath.mpf(model.c) / q
-        power = (mpmath.mpf(model.r) / (1 + q)) ** n
-        want = scale if n == 0 else 2 * scale * power
+        want, power = _reference.geometric_circle(model.c, model.r, n)
         slack = (n + 5) * mpmath.mpf(2) ** -53 * want
         if power < mpmath.mpf(2) ** -1021:
-            slack += (scale + 1) * mpmath.mpf(2) ** -1072
+            slack += (_reference.geometric_circle(model.c, model.r, 0)[0] + 1) * mpmath.mpf(2) ** -1072
         assert abs(got - want) <= slack, (model, n, got, want)
 
 
@@ -170,7 +150,10 @@ def test_circle_coefficient_equals_stepping_reference(model):
                 # truncated sum
                 _assert_geometric_within_rounding(model, n, got)
             else:
-                want = _reference_circle_coefficient(model, n, tol)
+                # the exact b_n up to where twice the certified tail from m drops to tol
+                tails = (m for m in count(n, 2) if weighted_tail_bound(model, m, 0).bound * 2.0 <= tol)
+                stop = cutoff if isinstance(model, Finite) else next(tails)
+                want = _reference.circle_coefficient(model.term, n, stop)
                 _assert_within_rounding(got, want, cutoff, (tol, n))
 
 
@@ -238,19 +221,6 @@ def test_circle_sequence_stops_where_the_prefix_path_stopped(desc, tol, stops):
             assert seq.max_index + 5 <= 2 * size + 3
 
 
-def _exact_mass(model):
-    # sum_m a_m: exact rationals for Geometric, Finite and Poisson, and
-    # C zeta(p) to 40 digits for PowerLaw
-    if isinstance(model, Geometric):
-        return Fraction(model.c) / (1 - Fraction(model.r))
-    if isinstance(model, Finite):
-        return sum(map(Fraction, model.terms))
-    if isinstance(model, PoissonType):
-        return Fraction(1)
-    with mpmath.workdps(40):
-        return Fraction(mpmath.nstr(mpmath.mpf(model.C) * mpmath.zeta(model.p), 40))
-
-
 MASS_CELLS = [
     (_VARIANTS[kind](first * scale, *rest), tol)
     for (kind, first, *rest), tol, _ in TRANSFORM_CELL_STOPS
@@ -260,7 +230,7 @@ MASS_CELLS = [
 
 @pytest.mark.parametrize("model, tol", MASS_CELLS)
 def test_circle_mass_bound_is_at_least_the_exact_mass(model, tol):
-    mass = _exact_mass(model)
+    mass = _reference.exact_mass(model)
     assert Fraction(transform._circle_terms(model, tol)[1]) >= mass
     # at the per-term tol / 1000 that circle_sequence uses, the prefix path's
     # true dropped tail can fill its tol/2 allowance to within less than the
@@ -330,22 +300,18 @@ def test_circle_coefficients_where_the_diagonal_weight_underflows():
     model = Finite(tuple(random.Random(5).uniform(0.5, 1.0) for _ in range(2500)))
     size = len(model.terms)
     for n in (0, 1, 2, 3, 1074, 1075, 1076, 1500, 2000, size - 1, size):
-        want = _reference_circle_coefficient(model, n, 0.0)
+        want = _reference.circle_coefficient(model.term, n, size)
         _assert_within_rounding(circle_coefficient(model, n), want, size, n)
 
 
 @pytest.mark.parametrize("c, r, tol", [(0.01, 0.99, 1e-10), (0.1, 0.9, 1e-10), (1.0, 0.5, 1e-12)])
 def test_geometric_circle_sequence_against_closed_form(c, r, tol):
-    # c / (1 - r cos t) = (c / q) (1 + 2 sum_n rho^n cos(n t)), q = sqrt(1 - r^2),
-    # rho = (1 - q) / r; the oracle runs in 40-digit arithmetic
     model = Geometric(c, r)
     seq = circle_sequence(model, tol)
     size = truncation_index(model, 0, seq.per_term_tol / 2.0)
-    with mpmath.workdps(40):
-        q = mpmath.sqrt(1 - mpmath.mpf(r) ** 2)
-        rho = (1 - q) / r
+    with mpmath.workdps(50):
         for n, got in enumerate(seq.terms):
-            want = (c if n == 0 else 2 * c * rho**n) / q
+            want = _reference.geometric_circle(c, r, n)[0]
             slack = seq.per_term_tol + (2 * size + 3) * 2.0**-53 * want
             assert abs(got - want) <= slack, (n, got, want)
 
@@ -547,15 +513,9 @@ def test_diagonal_growth_domination():
 
 
 def _reference_derivative_series(model, ell, tol):
-    # reference: one big-integer closed-form sum for every term
     growth = build_leading_table(ell).cell(ell, ell)
-    cutoff = truncation_index(model, ell, tol / growth)
-    total = math.fsum(
-        term(model, m) * float(diagonal_closed_form(m, ell))
-        for m in range(1, cutoff)
-        if term(model, m)
-    )
-    return (-1) ** ell * total
+    stop = truncation_index(model, ell, tol / growth)
+    return _reference.termwise_derivative(model.term, diagonal_closed_form, ell, stop)
 
 
 SERIES_MODELS = (
@@ -564,22 +524,6 @@ SERIES_MODELS = (
     + [PowerLaw(1.0, 8.0), PowerLaw(2.0, 9.0)]
     + [Finite((0.0, 0.5, 0.0, 1e-13, 0.25, 3.0))]
 )
-
-
-def _power_moment_derivative(model, ell):
-    # 50-digit phi^(2 ell)(0) from power moments sum_m a_m m^k in closed
-    # form (polylog for Geometric, Touchard polynomials for Poisson) and the
-    # monomial coefficients of diag(m, ell), pinned to the closed form in
-    # test_derivatives: the route of the benchmark oracle, with no
-    # factorial moment in it
-    with mpmath.workdps(50):
-        if isinstance(model, Geometric):
-            moment = lambda k: mpmath.mpf(model.c) * mpmath.polylog(-k, mpmath.mpf(model.r))
-        else:
-            moment = lambda k: mpmath.bell(k, mpmath.mpf(model.c))
-        coeffs = _diagonal_polynomial(ell)
-        value = mpmath.fsum(c * moment(k) for k, c in enumerate(coeffs) if c)
-        return float((-1) ** ell * value)
 
 
 @pytest.mark.parametrize("model", SERIES_MODELS)
@@ -594,7 +538,8 @@ def test_derivative_series_equals_closed_form_reference(model):
             want = _reference_derivative_series(model, ell, tol)
             got = derivative_at_zero_series(model, ell, tol)
             if exact:
-                assert got == _power_moment_derivative(model, ell), (ell, tol)
+                rounded = _reference.power_moment_derivative(model, ell, _diagonal_polynomial(ell))
+                assert got == rounded, (ell, tol)
                 assert abs(got - want) <= tol + 4 * math.ulp(got), (ell, tol)
             else:
                 assert got == want, (ell, tol)
