@@ -421,6 +421,60 @@ def test_reference_module_imports_nothing_from_the_library():
         assert _reference.gegenbauer_table_error(lam, x, (1, 7, 500, 6000)) < 1e-35, (lam, x)
 
 
+# the closed forms are checked at these angles and ratios, and at c = 0
+_FORM_ANGLES = (0.0, 1e-8, 1e-5, 0.7, 2.0, 3.1, math.pi, -0.4, 7.0)
+_FORM_RATIOS = (0.0, 0.5, 0.99, 1.0 - 2.0**-20)
+
+
+def _assert_geometric_form_within_its_bound(dimension):
+    tol = 1e-6  # above every bound on the grid, so the form is taken
+    for c, r in [(0.3, r) for r in _FORM_RATIOS] + [(0.0, 0.5)]:
+        model = Geometric(c, r)
+        bound = _form_bound(model, dimension)
+        assert bound <= tol and kernels._kernel_form(model, dimension, tol) is not None
+        for theta in _FORM_ANGLES:
+            want, remainder = _reference.kernel(model, dimension, theta)
+            got = phi_eval(KernelSpec(dimension, model), theta, tol)
+            with mpmath.workdps(_reference.DPS):
+                assert abs(got - want) + remainder <= bound, (c, r, theta)
+
+
+def test_hilbert_geometric_matches_generating_function():
+    _assert_geometric_form_within_its_bound(None)
+    # the series path still cuts its prefix short where |cos theta| < 1
+    model, tol = PowerLaw(1.0, 3.5), 1e-10
+    prefix = kernels._coefficient_prefix(model, tol)
+    for theta in _INTERIOR_ANGLES:
+        t = math.cos(theta)
+        assert len(kernels._angle_prefix(prefix, None, t, tol)) < len(prefix)
+        want, remainder = _reference.kernel(model, None, theta)
+        with mpmath.workdps(_reference.DPS):
+            assert abs(phi_eval_inf(model, theta, tol) - want) + remainder <= tol
+
+
+def test_s2_geometric_matches_generating_function():
+    _assert_geometric_form_within_its_bound(2)
+
+
+def test_phi_eval_inf_geometric_closed_form():
+    model = Geometric(0.5, 0.5)
+    for theta in (0.0, 0.3, math.pi / 2, 2.1, math.pi):
+        want, remainder = _reference.kernel(model, None, theta)
+        with mpmath.workdps(_reference.DPS):
+            assert abs(phi_eval_inf(model, theta, 1e-13) - want) + remainder <= 1e-13
+
+
+@pytest.mark.parametrize("theta", [1e-5, 1e-4, 1e-3])
+def test_s2_geometric_near_zero_meets_the_tolerance(theta):
+    # the summed Legendre series missed here by 1.0043, 0.74 and 0.24 tol:
+    # its certified tail used almost all of tol, leaving none for rounding
+    model, tol = Geometric(1.0, 0.99), 1e-10
+    got = phi_eval_d(KernelSpec(2, model), theta, tol)
+    want, remainder = _reference.kernel(model, 2, theta)
+    with mpmath.workdps(_reference.DPS):
+        assert abs(got - want) + remainder <= tol
+
+
 def _full_prefix_sum(model, dimension, theta, tol):
     coeffs = coefficient_prefix(model, tol)
     if dimension is None:
