@@ -97,7 +97,9 @@ own ulp adds 2u, so the value is within 5u, the mass being 1.  Every
 form multiplies c by a factor of at most 1 / (1 - r) last or divides c,
 so none overflows where the mass is finite.  A form is taken only where
 tol is a positive number and the row's bound is at most tol; otherwise
-the series above is summed (at tol = 1e-300, say).
+the series above is summed (at tol = 1e-300, say).  _resolve makes that
+choice once per (model, sphere, tol), building the series' prefix then,
+and _evaluator keeps what it returns, prefix included.
 """
 
 from __future__ import annotations
@@ -211,8 +213,9 @@ def _gegenbauer_sum(coeffs, lam: float, t: float) -> float:
     return total
 
 
-class _Prefix:
-    """a_0 .. a_{M0-1}, with M0 the plain cutoff at tol, and suffix tails.
+def _prefix(model: SequenceModel, tol: float) -> tuple[tuple[float, ...], array]:
+    """(coeffs, rest): a_0 .. a_{M0-1}, with M0 the plain cutoff at tol, and
+    suffix tails.
 
     ``rest[m]`` bounds sum_{k >= m} a_k for 0 <= m <= M0: it is at least
     sum_{m <= k < M0} a_k + T(M0), with T(M0) the certified plain tail.
@@ -221,30 +224,12 @@ class _Prefix:
     most a factor 1 - M0 * 2**-53 and the product another 2**-53, so the
     factor rounds every entry upward with at least 31 * 2**-53 to spare
     for the roundings of an envelope and of its product with rest[m].
-    len() is the term count M0.
     """
-
-    __slots__ = ("coeffs", "rest")
-
-    def __init__(self, coeffs: tuple[float, ...], rest: array):
-        self.coeffs = coeffs
-        self.rest = rest
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-
-def _prefix(model: SequenceModel, tol: float) -> _Prefix:
     coeffs = coefficient_prefix(model, tol)
     size = len(coeffs)
     sums = accumulate(reversed(coeffs), initial=weighted_tail_bound(model, size, 0).bound)
     scale = 1.0 + (size + 16) * 2.0 ** -52
-    return _Prefix(coeffs, array("d", [total * scale for total in reversed(list(sums))]))
-
-
-# kernels are evaluated at many angles with one (model, tol), so keep the prefix;
-# a caller that evaluates a model only once builds its own with _prefix
-_coefficient_prefix = lru_cache(maxsize=128)(_prefix)
+    return coeffs, array("d", [total * scale for total in reversed(list(sums))])
 
 
 def _envelope(dimension: int | None, t: float):
@@ -273,18 +258,17 @@ def _envelope(dimension: int | None, t: float):
 _SEARCH_MIN_TERMS = 64
 
 
-def _angle_prefix(prefix: _Prefix, dimension: int | None, t: float, tol: float):
+def _angle_prefix(coeffs, rest, dimension: int | None, t: float, tol: float):
     """The coefficients an evaluation at t sums: a_0 .. a_{M-1} of the
     prefix, M the smallest m with envelope(m) * rest[m] <= tol.
 
     The middle of the prefix is probed first; when it fails, when the
     envelope is 1 or when the prefix is short, the whole prefix is summed.
     """
-    coeffs = prefix.coeffs
     if len(coeffs) < _SEARCH_MIN_TERMS:
         return coeffs
     env = _envelope(dimension, t)
-    rest, hi = prefix.rest, len(coeffs) // 2
+    hi = len(coeffs) // 2
     if env is None or env(hi) * rest[hi] > tol:
         return coeffs
     # the test passes at hi: the least m in [1, hi] where it passes
@@ -296,8 +280,15 @@ def _as_model(spec) -> SequenceModel:
 
 
 def _finite_angle(theta: float) -> float:
+    """theta itself in [-pi, pi], else the same angle brought into it.
+
+    libm reduces the arguments of sin and cos exactly, so atan2 of the two
+    keeps the angle where a product k * theta would lose it past 1e12.
+    """
     if not math.isfinite(theta):
         raise ValueError(f"angle must be finite, got {theta!r}")
+    if abs(theta) > math.pi:
+        return math.atan2(math.sin(theta), math.cos(theta))
     return theta
 
 
@@ -387,34 +378,35 @@ def _kernel_form(model: SequenceModel, dimension: int | None, tol: float):
     return form.make(model)
 
 
-def _hilbert_sum(prefix: _Prefix, u: float, tol: float) -> float:
-    """sum_m a_m u^m over the prefix up to the cutoff at u = cos theta, by Horner."""
-    total = 0.0
-    for a in reversed(_angle_prefix(prefix, None, u, tol)):
-        total = total * u + a
-    return total
-
-
-def _series(model: SequenceModel, dimension: int | None, theta: float, tol: float) -> float:
-    """The series at a finite theta, truncated within tol, over the cached prefix."""
+def _series(coeffs, rest, dimension: int | None, theta: float, tol: float) -> float:
+    """The series at a finite theta over a prefix from _prefix, truncated within tol."""
     t = math.cos(theta)
-    prefix = _coefficient_prefix(model, tol)
+    coeffs = _angle_prefix(coeffs, rest, dimension, t, tol)
     if dimension is None:
-        return _hilbert_sum(prefix, t, tol)
-    coeffs = _angle_prefix(prefix, dimension, t, tol)
+        # sum_m a_m t^m by Horner
+        total = 0.0
+        for a in reversed(coeffs):
+            total = total * t + a
+        return total
     if dimension == 1:
         return math.fsum(a * math.cos(k * theta) for k, a in enumerate(coeffs))
     return _gegenbauer_sum(coeffs, (dimension - 1) / 2.0, t)
 
 
-@lru_cache(maxsize=128)
-def _evaluator(model: SequenceModel, dimension: int | None, tol: float):
-    """theta -> phi(theta) within tol, kept like the prefix: the closed form
-    where there is one, else the series over the cached prefix."""
+def _resolve(model: SequenceModel, dimension: int | None, tol: float):
+    """theta -> phi(theta) within tol: the closed form where there is one,
+    else the series over a prefix built once here."""
     form = _kernel_form(model, dimension, tol)
     if form is not None:
         return form
-    return lambda theta: _series(model, dimension, theta, tol)
+    coeffs, rest = _prefix(model, tol)
+    return lambda theta: _series(coeffs, rest, dimension, theta, tol)
+
+
+# kernels are evaluated at many angles per (model, sphere, tol), so keep each
+# evaluator, and with it its prefix; a caller that evaluates a model only once
+# calls _resolve itself
+_evaluator = lru_cache(maxsize=128)(_resolve)
 
 
 def _evaluate(model: SequenceModel, dimension: int | None, theta: float, tol: float) -> float:

@@ -6,6 +6,7 @@ import sys
 import threading
 from array import array
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from pathlib import Path
 
@@ -166,6 +167,16 @@ def test_gegenbauer_sum_equals_simultaneous_recurrence_reference(model, tol):
 _S2_PINNED_GEOMETRIC = [Geometric(1.0, r) for r in (0.5, 0.9, 0.99)]
 
 
+@cache
+def _series_prefix(model, tol):
+    return kernels._prefix(model, tol)
+
+
+def _series_value(model, dimension, theta, tol):
+    # the series path itself, which _resolve skips where a closed form applies
+    return kernels._series(*_series_prefix(model, tol), dimension, theta, tol)
+
+
 def _s2_digest(evaluate, models):
     values = [
         repr(evaluate(model, k * math.pi / 64, tol))
@@ -182,7 +193,7 @@ def test_s2_values_are_pinned_bit_for_bit():
     # no longer take
     models = _S2_PINNED_GEOMETRIC + [PoissonType(c) for c in (2.0, 50.0)]
     models += [PowerLaw(1.0, p) for p in (3.5, 4.5, 7.0)]
-    digest = _s2_digest(lambda model, theta, tol: kernels._series(model, 2, theta, tol), models)
+    digest = _s2_digest(lambda model, theta, tol: _series_value(model, 2, theta, tol), models)
     assert digest == "089471886e9f3247357554d571aa0fecfa7ab1d7"
     # phi_eval_d takes that path for every model without a closed form
     others = models[len(_S2_PINNED_GEOMETRIC):]
@@ -262,17 +273,17 @@ def test_envelope_is_one_where_no_bound_is_known():
 )
 def test_suffix_tails_bound_the_exact_suffix_sums(model):
     tol = 1e-8
-    prefix = kernels._prefix(model, tol)
+    prefix, rest = kernels._prefix(model, tol)
     coeffs = coefficient_prefix(model, tol)
-    assert prefix.coeffs == coeffs and len(prefix) == len(coeffs)
-    assert isinstance(prefix.rest, array) and len(prefix.rest) == len(coeffs) + 1
+    assert prefix == coeffs
+    assert isinstance(rest, array) and len(rest) == len(coeffs) + 1
     exact = Fraction(weighted_tail_bound(model, len(coeffs), 0).bound)
     for m in range(len(coeffs), -1, -1):
         if m < len(coeffs):
             exact += Fraction(coeffs[m])
-        assert Fraction(prefix.rest[m]) >= exact
+        assert Fraction(rest[m]) >= exact
     # rounded up by a few ulps, not more
-    assert prefix.rest[0] <= float(exact) * (1.0 + 1e-12)
+    assert rest[0] <= float(exact) * (1.0 + 1e-12)
 
 
 _INTERIOR_ANGLES = (0.4, 1.1, 1.9, 2.8)
@@ -313,7 +324,7 @@ def test_forms_fall_back_to_the_series_below_their_bounds():
     for (_, dimension), (model, series_value) in _FALLBACK_CASES.items():
         # a tol below the rounding bound sums the series, bit for bit as before
         got = phi_eval(KernelSpec(dimension, model), 0.7, 1e-300)
-        assert got == series_value == kernels._series(model, dimension, 0.7, 1e-300)
+        assert got == series_value == _series_value(model, dimension, 0.7, 1e-300)
         bound = _form_bound(model, dimension)
         assert kernels._kernel_form(model, dimension, bound) is not None
         assert kernels._kernel_form(model, dimension, math.nextafter(bound, 0.0)) is None
@@ -338,6 +349,8 @@ def test_forms_fall_back_to_the_series_below_their_bounds():
 # takes a closed form, else tol, plus the reference's own remainder.
 _SPHERES = (None, 1, 2, 3, 4, 5, 6)
 _CONTRACT_ANGLES = (0.0, 1e-8, 1e-5, 1e-4, 1e-3, 0.3, 0.7, math.pi / 2, 2.0, 2.1, 3.1, math.pi, -0.4, 7.0)
+# past about 1e12, k * theta loses the angle that libm's sin and cos keep
+_CONTRACT_ANGLES += (1e300, -1e308)
 _CONTRACT_ANGLES += _INTERIOR_ANGLES
 
 # (models, tolerances, spheres): every model at every tolerance, angle and sphere
@@ -443,10 +456,10 @@ def test_hilbert_geometric_matches_generating_function():
     _assert_geometric_form_within_its_bound(None)
     # the series path still cuts its prefix short where |cos theta| < 1
     model, tol = PowerLaw(1.0, 3.5), 1e-10
-    prefix = kernels._coefficient_prefix(model, tol)
+    prefix, rest = _series_prefix(model, tol)
     for theta in _INTERIOR_ANGLES:
         t = math.cos(theta)
-        assert len(kernels._angle_prefix(prefix, None, t, tol)) < len(prefix)
+        assert len(kernels._angle_prefix(prefix, rest, None, t, tol)) < len(prefix)
         want, remainder = _reference.kernel(model, None, theta)
         with mpmath.workdps(_reference.DPS):
             assert abs(phi_eval_inf(model, theta, tol) - want) + remainder <= tol
@@ -502,29 +515,29 @@ def test_full_prefix_where_the_envelope_is_one(dimension):
 @pytest.mark.parametrize("dimension", [None, 2, 3, 4])
 def test_cutoff_is_the_smallest_certified_index(dimension):
     for model in (PowerLaw(1.0, 3.5), Geometric(1.0, 0.99), PoissonType(50.0)):
-        prefix = kernels._coefficient_prefix(model, 1e-8)
+        prefix, rest = _series_prefix(model, 1e-8)
         for theta in _INTERIOR_ANGLES:
             t = math.cos(theta)
             env = kernels._envelope(dimension, t)
-            cut = len(kernels._angle_prefix(prefix, dimension, t, 1e-8))
+            cut = len(kernels._angle_prefix(prefix, rest, dimension, t, 1e-8))
             half = len(prefix) // 2
-            if env(half) * prefix.rest[half] > 1e-8:
+            if env(half) * rest[half] > 1e-8:
                 assert cut == len(prefix)  # the middle probe failed
             else:
-                assert env(cut) * prefix.rest[cut] <= 1e-8
-                assert cut == 1 or env(cut - 1) * prefix.rest[cut - 1] > 1e-8
+                assert env(cut) * rest[cut] <= 1e-8
+                assert cut == 1 or env(cut - 1) * rest[cut - 1] > 1e-8
 
 
 def test_s4_powerlaw_cutoff_is_far_below_the_plain_prefix():
     model, tol = PowerLaw(1.0, 3.5), 1e-10
-    prefix = kernels._coefficient_prefix(model, tol)
-    cut = len(kernels._angle_prefix(prefix, 4, math.cos(1.0), tol))
+    prefix, rest = _series_prefix(model, tol)
+    cut = len(kernels._angle_prefix(prefix, rest, 4, math.cos(1.0), tol))
     assert len(prefix) > 6000 and cut < len(prefix) // 10
     # and a cut below the plain prefix on every sphere with an envelope
     for dimension, tol in ((None, 1e-10), (2, 1e-6), (3, 1e-6), (4, 1e-6)):
-        prefix = kernels._coefficient_prefix(model, tol)
+        prefix, rest = _series_prefix(model, tol)
         for theta in _INTERIOR_ANGLES:
-            assert len(kernels._angle_prefix(prefix, dimension, math.cos(theta), tol)) < len(prefix)
+            assert len(kernels._angle_prefix(prefix, rest, dimension, math.cos(theta), tol)) < len(prefix)
 
 
 def test_phi_eval_d_single_degree_one_term():
@@ -670,6 +683,27 @@ def test_psd_random_draws_both_sphere_readings(model, dim):
             points = random_sphere_points(rng, dim + 1, 10)
             weights = [rng.uniform(-1.0, 1.0) for _ in range(10)]
             assert psd_spot_check(spec, points, weights).passed
+
+
+def test_one_prefix_per_model_sphere_and_tol(monkeypatch):
+    # phi_eval and psd_spot_check share one evaluator per (model, sphere, tol),
+    # and the evaluator builds its prefix once
+    builds, build = [], kernels._prefix
+
+    def counted(model, tol):
+        builds.append((model, tol))
+        return build(model, tol)
+
+    monkeypatch.setattr(kernels, "_prefix", counted)
+    kernels._evaluator.cache_clear()
+    model, tol = PoissonType(2.0), 1e-10  # a unit mass: psd_spot_check evaluates at tol / 4
+    for spheres, dimension in enumerate((2, 5), 1):
+        spec = KernelSpec(dimension, model)
+        for k in range(33):
+            phi_eval(spec, k * math.pi / 32, tol / 4.0)
+        points = random_sphere_points(random.Random(dimension), dimension + 1, 8)
+        assert psd_spot_check(spec, points, [1.0] * 8, tol).passed
+        assert builds == [(model, tol / 4.0)] * spheres
 
 
 def test_psd_detects_sign_flipped_kernel():

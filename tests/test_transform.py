@@ -368,11 +368,11 @@ def test_reconstruct_error_is_the_largest_gap_to_phi_eval_inf(model):
             - phi_eval_inf(model, theta, tol / 4.0))
         for theta in thetas
     )
-    kernels._coefficient_prefix.cache_clear()
+    kernels._evaluator.cache_clear()
     got = reconstruct_error(model, thetas, max_index, tol)
     assert type(got) is float and got == want
     # its prefix is built for the call and kept out of the kernel cache
-    assert kernels._coefficient_prefix.cache_info().currsize == 0
+    assert kernels._evaluator.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("model", [Geometric(0.01, 0.99), PoissonType(50.0)])
@@ -382,8 +382,7 @@ def test_reconstruct_error_builds_no_prefix_where_a_closed_form_applies(model, m
 
     max_index = circle_sequence(model, 1e-8).max_index
     want = reconstruct_error(model, THETAS, max_index, 1e-8)
-    monkeypatch.setattr(transform, "_prefix", refuse)
-    monkeypatch.setattr(kernels, "_coefficient_prefix", refuse)
+    monkeypatch.setattr(kernels, "_prefix", refuse)
     assert reconstruct_error(model, THETAS, max_index, 1e-8) == want
     # below the form's rounding bound the prefix is built again
     with pytest.raises(AssertionError, match="prefix built"):
@@ -393,6 +392,12 @@ def test_reconstruct_error_builds_no_prefix_where_a_closed_form_applies(model, m
 def test_reconstruct_error_rejects_a_nan_angle():
     with pytest.raises(ValueError, match="angle"):
         reconstruct_error(Geometric(1.0, 0.5), [0.3, math.nan], 10)
+
+
+def test_reconstruct_error_at_huge_angles():
+    # n * theta loses the angle past about 1e12 and overflows at 1e308, where
+    # the angle itself is still a float that sin and cos reduce exactly
+    assert 0.0 <= reconstruct_error(Geometric(1.0, 0.5), [1e308, 1e300], 40) <= 1e-10
 
 
 def test_reconstruct_error_fixture_sweep():
